@@ -40,7 +40,7 @@
 #include "rt/Explore.h"
 #include "search/BoundPolicy.h"
 #include "search/Checker.h"
-#include "search/ParallelIcb.h"
+#include "search/IcbSearch.h"
 #include "session/Json.h"
 #include "support/Format.h"
 #include "vm/Interp.h"
@@ -70,12 +70,12 @@ struct Sample {
 
 double runModelOnce(const vm::Program &Prog, unsigned Jobs, unsigned MaxBound,
                     search::SearchStats *Out) {
-  search::ParallelIcbSearch::Options Opts;
+  search::IcbSearch::Options Opts;
   Opts.Jobs = Jobs;
   Opts.UseStateCache = true;
   Opts.Limits.MaxPreemptionBound = MaxBound;
   Opts.Limits.StopAtFirstBug = false;
-  search::ParallelIcbSearch Search(Opts);
+  search::IcbSearch Search(Opts);
   vm::Interp VM(Prog);
   auto Start = std::chrono::steady_clock::now();
   search::SearchResult R = Search.run(VM);

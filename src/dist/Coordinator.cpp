@@ -499,7 +499,7 @@ void Coordinator::recordBoundComplete() {
 
 void Coordinator::advanceBarrier() {
   while (!Finished && Seeded && Current.empty() && Leases.empty()) {
-    // Bound `Bound` is exhausted — the same quiescent point the drivers'
+    // Bound `Bound` is exhausted — the same quiescent point the driver's
     // fork/join barrier reaches, with the same per-bound accounting.
     recordBoundComplete();
     if (StopLeasing || Next.empty() || Bound >= Opts.FrontierBound) {
@@ -514,7 +514,7 @@ void Coordinator::advanceBarrier() {
   }
   // A limit tripped mid-bound: wind down once the in-flight leases have
   // reported (their work predates the stop decision, exactly like the
-  // drivers' in-flight chains). The sequential driver records the
+  // driver's in-flight chains). A local run records the
   // partially-drained bound's row too, which the loop above covers once
   // outstanding leases drain... but only if Current emptied; with items
   // still queued we finish here.

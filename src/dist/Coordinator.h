@@ -6,7 +6,7 @@
 ///
 /// \file
 /// The coordinator of a distributed ICB run (`icb_check --serve`). It owns
-/// what the engine drivers own in a local run — the per-bound frontier
+/// what the engine driver owns in a local run — the per-bound frontier
 /// queues, the authoritative digest caches, the canonical bug map, the
 /// merged statistics — but executes nothing itself: joiners lease work-item
 /// batches, drain them with their local engines, and stream back deltas.
@@ -65,7 +65,7 @@ struct CoordinatorOptions {
   session::CheckpointMeta Meta;
   search::SearchLimits Limits;
   /// The bound policy's frontier bound (BoundPolicy::frontierBound());
-  /// the coordinator stops advancing past it exactly as the drivers do.
+  /// the coordinator stops advancing past it exactly as the driver does.
   unsigned FrontierBound = ~0u;
   /// Work items per drain lease.
   unsigned LeaseItems = 32;

@@ -108,15 +108,17 @@ void *ManagedHeap::reallocate(void *P, size_t N) {
   int I = blockIndex(P);
   if (I < 0)
     return std::realloc(P, N); // Foreign block: pass through.
-  Block &B = Blocks[static_cast<size_t>(I)];
+  const Block &B = Blocks[static_cast<size_t>(I)];
   if (!B.Alive)
     reportHeapBug(strFormat("double free: realloc of freed heap block #%d "
                             "(%zu bytes)",
                             I, B.Size));
+  // allocate() may grow Blocks, which would leave B dangling.
+  size_t OldSize = B.Size;
   void *Q = allocate(N);
   if (!Q)
     return nullptr;
-  std::memcpy(Q, P, B.Size < N ? B.Size : N);
+  std::memcpy(Q, P, OldSize < N ? OldSize : N);
   release(P);
   return Q;
 }

@@ -273,7 +273,7 @@ public:
   MetricShard &shard(unsigned Index) { return ShardList[Index]; }
 
   /// Merged view of the restored base plus every shard. Callers must
-  /// quiesce the workers first (the drivers snapshot only at barriers or
+  /// quiesce the workers first (the driver snapshots only at barriers or
   /// between chains).
   MetricsSnapshot snapshot() const;
 

@@ -13,8 +13,8 @@
 ///
 /// due() is the hot-path half: a relaxed load of the next deadline plus,
 /// at most once per period, one compare-exchange to claim it. Any worker
-/// may claim a tick; the claim is what throttles concurrent emitters in
-/// the parallel driver without a lock.
+/// may claim a tick; the claim is what throttles concurrent emitters
+/// among the driver's workers without a lock.
 ///
 //===----------------------------------------------------------------------===//
 

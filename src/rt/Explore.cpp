@@ -8,7 +8,7 @@
 #include "obs/PhaseTimer.h"
 #include "rt/ReplayExecutor.h"
 #include "search/IcbEngine.h"
-#include "search/StateCache.h"
+#include "search/ShardedStateCache.h"
 #include "support/Debug.h"
 #include "support/Format.h"
 #include "support/Prng.h"
@@ -89,8 +89,8 @@ private:
   ExploreLimits Limits;
   obs::MetricShard *Shard;
   CoverageSampler<CoveragePoint> Sampler;
-  search::StateCache Visited;
-  search::StateCache Terminal;
+  search::ShardedStateCache Visited;
+  search::ShardedStateCache Terminal;
   search::BugCollector Bugs;
   bool LimitHit = false;
 };
@@ -146,11 +146,6 @@ ExploreResult IcbExplorer::explore(const TestCase &Test) {
   EngineOpts.Resume = Opts.Resume;
   EngineOpts.Metrics = Opts.Metrics;
   EngineOpts.Lease = Opts.Lease;
-
-  if (Opts.Jobs == 1 || Opts.Lease == search::LeaseMode::Roots) {
-    ReplayExecutor Executor(Test, Opts.Exec, Opts.Por);
-    return search::runSequentialIcbEngine(Executor, EngineOpts);
-  }
 
   unsigned Jobs = Opts.Jobs ? Opts.Jobs : WorkerPool::defaultWorkers();
   std::vector<std::unique_ptr<ReplayExecutor>> Executors;

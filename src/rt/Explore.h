@@ -15,9 +15,9 @@
 /// (search/SearchTypes.h) — one Bug type, one stats block, one limit
 /// struct across both engines. The historical rt names remain as aliases.
 ///
-/// Explorers: IcbExplorer (the shared Algorithm 1 engine of
-/// search/IcbEngine.h driving an rt::ReplayExecutor — sequential or, with
-/// Jobs != 1, work-stealing parallel), DfsExplorer (Verisoft-style
+/// Explorers: IcbExplorer (the shared Algorithm 1 driver of
+/// search/IcbEngine.h driving one rt::ReplayExecutor per worker),
+/// DfsExplorer (Verisoft-style
 /// backtracking, optionally depth-bounded — "db:N"), RandomExplorer
 /// (uniform random walk).
 ///
@@ -60,12 +60,11 @@ using ExploreResult = search::SearchResult;
 struct ExploreOptions {
   Scheduler::Options Exec;
   ExploreLimits Limits = defaultLimits();
-  /// ICB only: worker threads draining each preemption bound. 1 runs the
-  /// sequential engine on the calling thread; 0 picks the hardware
-  /// concurrency. Each worker owns its own Scheduler (and fiber stacks).
+  /// ICB only: worker threads draining each preemption bound. 1 runs on
+  /// the calling thread; 0 picks the hardware concurrency. Each worker
+  /// owns its own Scheduler (and fiber stacks).
   unsigned Jobs = 1;
-  /// ICB only: shards in the concurrent fingerprint caches when Jobs != 1
-  /// (0 = auto).
+  /// ICB only: shards in the concurrent fingerprint caches (0 = auto).
   unsigned Shards = 0;
   /// ICB only: bounded POR — sleep sets composed with the preemption
   /// bound (rt::IcbPolicy). Prunes same-bound siblings covered by
@@ -87,7 +86,6 @@ struct ExploreOptions {
   /// Hash / RaceDetect phase timers.
   obs::MetricsRegistry *Metrics = nullptr;
   /// ICB only: distributed lease participation (see search::LeaseMode).
-  /// Roots leases always run the sequential engine regardless of Jobs.
   search::LeaseMode Lease = search::LeaseMode::Off;
 
   /// The runtime's historical safety nets: exploration stops after 2^20

@@ -7,7 +7,6 @@
 #include "search/Checker.h"
 #include "search/Dfs.h"
 #include "search/IcbSearch.h"
-#include "search/ParallelIcb.h"
 #include "search/RandomWalk.h"
 #include "support/Debug.h"
 
@@ -17,22 +16,9 @@ using namespace icb::search;
 std::unique_ptr<Strategy> icb::search::makeStrategy(const SearchOptions &Opts) {
   switch (Opts.Kind) {
   case StrategyKind::Icb: {
-    if (Opts.Jobs != 1) {
-      ParallelIcbSearch::Options O;
-      O.Jobs = Opts.Jobs;
-      O.Shards = Opts.Shards;
-      O.UseStateCache = Opts.UseStateCache;
-      O.RecordSchedules = Opts.RecordSchedules;
-      O.UseSleepSets = Opts.UseSleepSets;
-      O.Limits = Opts.Limits;
-      O.Policy = Opts.Policy;
-      O.Observer = Opts.Observer;
-      O.Resume = Opts.Resume;
-      O.Metrics = Opts.Metrics;
-      O.Lease = Opts.Lease;
-      return std::make_unique<ParallelIcbSearch>(O);
-    }
     IcbSearch::Options O;
+    O.Jobs = Opts.Jobs;
+    O.Shards = Opts.Shards;
     O.UseStateCache = Opts.UseStateCache;
     O.RecordSchedules = Opts.RecordSchedules;
     O.UseSleepSets = Opts.UseSleepSets;

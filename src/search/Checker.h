@@ -48,10 +48,9 @@ struct SearchOptions {
   /// Prunes same-bound siblings covered by independence without changing
   /// which bugs exist at which minimal bounds. Other strategies ignore it.
   bool UseSleepSets = false;
-  /// Icb: worker threads. 1 runs the sequential reference engine; >1 (or
-  /// 0 = hardware concurrency) runs the work-stealing parallel engine.
+  /// Icb: worker threads draining each bound (0 = hardware concurrency).
   unsigned Jobs = 1;
-  /// Icb with Jobs != 1: shards in the concurrent caches (0 = auto).
+  /// Icb: shards in the concurrent caches (0 = auto).
   unsigned Shards = 0;
   /// DepthBoundedDfs: the bound. IterativeDfs: initial bound and increment.
   unsigned DepthBound = 20;
@@ -63,8 +62,8 @@ struct SearchOptions {
   EngineObserver *Observer = nullptr;
   const EngineSnapshot *Resume = nullptr;
   /// Observability registry (see obs/Metrics.h), honoured by every
-  /// strategy. Icb shards it per worker; the sequential strategies
-  /// record into a single shard.
+  /// strategy. Icb shards it per worker; the baseline strategies record
+  /// into a single shard.
   obs::MetricsRegistry *Metrics = nullptr;
   /// Icb: distributed lease participation (see search::LeaseMode); other
   /// strategies ignore it.

@@ -6,7 +6,7 @@
 
 #include "search/Dfs.h"
 #include "obs/PhaseTimer.h"
-#include "search/StateCache.h"
+#include "search/ShardedStateCache.h"
 #include "support/Debug.h"
 #include "support/Format.h"
 #include <algorithm>
@@ -150,7 +150,7 @@ private:
   const vm::Interp &VM;
   SearchLimits Limits;
   obs::MetricShard *Shard;
-  StateCache Seen;
+  ShardedStateCache Seen;
   SearchStats Stats;
   CoverageSampler<CoveragePoint> Sampler;
   BugCollector Bugs;

@@ -5,9 +5,9 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// The seam between the ICB drivers and the session subsystem: an untyped
+/// The seam between the ICB driver and the session subsystem: an untyped
 /// snapshot of the engine's frontier plus an observer interface the
-/// drivers poll. The drivers stay ignorant of files, JSON, and signals —
+/// driver polls. The driver stays ignorant of files, JSON, and signals —
 /// session::CheckpointSink implements the observer and owns persistence.
 ///
 /// A work item is saved uniformly as (schedule prefix, next thread),
@@ -17,18 +17,18 @@
 /// initial state. That keeps checkpoints executor-portable in format even
 /// though a checkpoint only ever resumes onto the executor that wrote it.
 ///
-/// Snapshots are taken at *safe points* only, where the snapshot plus the
-/// already-accumulated statistics describe the run exactly:
-///   * sequential driver: between work-item chains (the local
-///     nonpreempting stack is empty, so the frontier is just the two FIFO
-///     queues) — periodic checkpoints are cheap and frequent;
-///   * parallel driver: at bound barriers (periodic), and mid-bound on a
-///     cooperative stop after the pool joins and the deques/stripes are
-///     drained into one consistent frontier.
-/// Re-running the work left of a safe point reproduces an uninterrupted
-/// run's results exactly: sequentially because queue order is preserved,
-/// in parallel because the drivers' merges are commutative and bug
-/// reports canonical (see IcbEngine.h).
+/// Snapshots are taken at *safe points* only, where no chain is in flight
+/// and the snapshot plus the already-accumulated statistics describe the
+/// run exactly:
+///   * one worker: between any two chains — periodic checkpoints are
+///     cheap and frequent;
+///   * any worker count: at bound barriers (periodic), and mid-bound on a
+///     cooperative stop after the pool joins.
+/// Each worker's deque is saved in pop order, so re-running the work left
+/// of a safe point reproduces an uninterrupted run's results exactly: one
+/// worker continues in the very order it would have, several workers
+/// because the driver's merges are commutative and bug reports canonical
+/// (see IcbEngine.h).
 ///
 //===----------------------------------------------------------------------===//
 
@@ -65,9 +65,9 @@ struct EngineSnapshot {
   std::vector<uint64_t> SeenDigests;
   std::vector<uint64_t> TerminalDigests;
   std::vector<uint64_t> ItemDigests;
-  /// Sequential non-canonical mode: discovery order (restoring re-adds in
-  /// order, reproducing the historical report exactly). Canonical modes:
-  /// (kind, message) order.
+  /// First-exposure mode (one worker, non-canonical): discovery order
+  /// (restoring re-adds in order, reproducing the historical report
+  /// exactly). Canonical mode: (kind, message) order.
   std::vector<Bug> Bugs;
   /// Observability totals so far (empty when the run has no registry).
   /// Restored on resume so a resumed run's work-derived counters match an
@@ -76,9 +76,9 @@ struct EngineSnapshot {
 };
 
 /// Driver-side hooks. All methods are called from the driving thread only
-/// (the sequential loop, or the parallel driver between/after rounds),
-/// except stopRequested()/checkpointDue() which workers may poll — session
-/// implementations back them with atomics.
+/// (between or after rounds, or by a lone worker, which is that thread),
+/// except stopRequested()/checkpointDue()/progressDue() which workers may
+/// poll — session implementations back them with atomics.
 class EngineObserver {
 public:
   virtual ~EngineObserver() = default;

@@ -7,7 +7,7 @@
 /// \file
 /// The paper implements Algorithm 1 twice — inside the explicit-state ZING
 /// checker and inside the stateless CHESS runtime. This repo implements it
-/// once: the drivers in IcbEngine.h walk the bounded tree and an
+/// once: the driver in IcbEngine.h walks the bounded tree and an
 /// *executor* advances the search from one work item, publishing
 /// continuations and accounting through the driver's context hooks.
 ///
@@ -38,7 +38,7 @@
 ///     plus the forced next thread, and each executor instance owns its
 ///     own Scheduler so prefixes replay concurrently on worker threads.
 ///
-/// The Ctx hooks an executor drives (provided by the engine drivers):
+/// The Ctx hooks an executor drives (provided by the engine driver):
 ///
 ///   bool claimItem(uint64_t digest);  // (state, thread) work-item cache;
 ///                                     // true if new (ZING pruning mode)

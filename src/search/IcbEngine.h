@@ -1,37 +1,30 @@
-//===- search/IcbEngine.h - Algorithm 1 drivers over an Executor -*- C++ -*-===//
+//===- search/IcbEngine.h - Algorithm 1 driver over an Executor -*- C++ -*-===//
 //
 // Part of the ICB project (PLDI'07 reproduction).
 //
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// The two drivers of Algorithm 1, templated over an Executor (see
-/// Executor.h): a sequential reference driver and a work-stealing parallel
-/// driver. Between them they own everything that is *not* "execute one
-/// work item": the per-bound queues and barrier, the visited-state and
-/// work-item caches, statistics, coverage sampling, limit checking, and
-/// bug deduplication. The executors own how a work item becomes an
-/// execution — stepping a model VM or replaying a schedule prefix on the
-/// fiber runtime.
+/// The driver of Algorithm 1, templated over an Executor (see Executor.h).
+/// It owns everything that is *not* "execute one work item": the per-bound
+/// queues and barrier, the visited-state and work-item caches, statistics,
+/// coverage sampling, limit checking, and bug deduplication. The executors
+/// own how a work item becomes an execution — stepping a model VM or
+/// replaying a schedule prefix on the fiber runtime.
 ///
-/// Sequential driver: a FIFO queue of the bound's roots; nonpreempting
-/// branches go on a private LIFO stack (depth-first within a chain keeps
-/// memory bounded); deferred items queue for the next bound; one snapshot
-/// per bound. This is bit-for-bit the historical sequential model-VM
-/// behavior.
-///
-/// Parallel driver: one fork/join round per bound. Parallelizing ICB is
-/// natural because the algorithm is a sequence of independent batches:
-/// every work item queued for bound c can be explored in isolation — items
-/// only communicate *forward*, by publishing deferred (preempting)
+/// The driver runs one fork/join round per bound, with one worker (and one
+/// executor) per entry of its executor list. Parallelizing ICB is natural
+/// because the algorithm is a sequence of independent batches: every work
+/// item queued for bound c can be explored in isolation — items only
+/// communicate *forward*, by publishing deferred (preempting)
 /// continuations for bound c + 1.
 ///
 ///   * the bound's items are dealt round-robin onto per-worker
-///     work-stealing deques; workers pop their own bottom (LIFO) and steal
-///     from others' tops (FIFO) when dry, so a bound with few roots but
-///     deep subtrees still spreads — nonpreempting branches discovered
-///     mid-execution go onto the owner's deque bottom where they are
-///     stealable;
+///     work-stealing deques, last item first; workers pop their own bottom
+///     (LIFO) and steal from others' tops (FIFO) when dry, so a bound with
+///     few roots but deep subtrees still spreads — nonpreempting branches
+///     discovered mid-execution go onto the owner's deque bottom where
+///     they are stealable;
 ///   * deferred continuations are published to a lock-striped next queue
 ///     (one stripe per worker — steady-state pushes are uncontended);
 ///   * the visited-state set and the (state, thread) work-item cache are
@@ -43,7 +36,17 @@
 ///     starts only after bound c is fully drained, preserving the minimal
 ///     preemption guarantee for every reported bug.
 ///
-/// Determinism: with the work-item cache off the drivers enumerate the
+/// One worker runs inline on the calling thread (WorkerPool(1) spawns
+/// nothing) in a fixed order: the bound's queue front to back, each item's
+/// nonpreempting branches depth-first before the next item (the reversed
+/// deal leaves the queue's front at the bottom of the deque). Every
+/// `--jobs 1` result and checkpoint is defined by that order. A lone
+/// worker also samples the coverage curve after every execution (several
+/// workers sample it at bound barriers), takes periodic checkpoints
+/// between chains (several workers: at bound barriers), and may keep the
+/// first-exposure bug list (IcbEngineOptions::CanonicalBugs).
+///
+/// Determinism: with the work-item cache off the driver enumerates the
 /// complete bounded tree, every exposure of every bug is recorded, and
 /// (under canonical bug mode) duplicate reports collapse to the
 /// lexicographically smallest (Preemptions, Steps, Schedule) exposure —
@@ -69,7 +72,6 @@
 #include "search/Executor.h"
 #include "search/SearchTypes.h"
 #include "search/ShardedStateCache.h"
-#include "search/StateCache.h"
 #include "support/Debug.h"
 #include "support/Stats.h"
 #include "support/StripedQueue.h"
@@ -83,7 +85,7 @@
 
 namespace icb::search {
 
-/// Driver knobs common to both engines.
+/// Driver knobs.
 struct IcbEngineOptions {
   SearchLimits Limits;
   /// The bound policy charging every scheduling decision (BoundPolicy.h).
@@ -92,19 +94,20 @@ struct IcbEngineOptions {
   /// read-only across workers.
   const BoundPolicy *Policy = nullptr;
   /// Deduplicate bugs to the canonical minimal (Preemptions, Steps,
-  /// Schedule) exposure, reported in (kind, message) order — what the
-  /// parallel driver always does, and what makes a sequential run's bug
-  /// report byte-comparable to a parallel one. Off = the historical
-  /// sequential model-VM policy (first exposure wins at equal preemption
-  /// counts, discovery order), kept for bit-for-bit compatibility.
+  /// Schedule) exposure, reported in (kind, message) order — what makes a
+  /// one-worker run's bug report byte-comparable to a many-worker one.
+  /// Off = the historical model-VM policy (first exposure wins at equal
+  /// preemption counts, discovery order), kept for bit-for-bit
+  /// compatibility; it needs a fixed discovery order, so several workers
+  /// always report canonically.
   bool CanonicalBugs = false;
-  /// Parallel driver only: shards in the concurrent caches (0 = auto).
+  /// Shards in the concurrent caches (0 = auto).
   unsigned Shards = 0;
   /// Session hooks: periodic checkpoints, cooperative stop, per-bound
   /// progress. Null = unobserved (the historical behavior).
   EngineObserver *Observer = nullptr;
-  /// Observability registry: the drivers hand each worker its MetricShard
-  /// and fold the shards into every snapshot. Null = unmetered; under
+  /// Observability registry: the driver hands each worker its MetricShard
+  /// and folds the shards into every snapshot. Null = unmetered; under
   /// ICB_NO_METRICS the hot-path instrumentation is compiled out and the
   /// registry only ever reports zeros.
   obs::MetricsRegistry *Metrics = nullptr;
@@ -114,12 +117,12 @@ struct IcbEngineOptions {
   /// by the session layer without invoking the engine at all.
   const EngineSnapshot *Resume = nullptr;
   /// Distributed lease participation (see search::LeaseMode): Roots seeds
-  /// and returns the bound-0 frontier without draining it (sequential
-  /// driver only); Drain executes exactly the resumed bound and returns
-  /// the published continuations instead of advancing. In either lease
-  /// mode the driver suppresses the per-bound rows and the coverage
-  /// sampler — the coordinator owns the bound barrier — and captures the
-  /// remaining queues plus the lease-local digest sets in the result.
+  /// and returns the bound-0 frontier without draining it; Drain executes
+  /// exactly the resumed bound and returns the published continuations
+  /// instead of advancing. In either lease mode the driver suppresses the
+  /// per-bound rows and the coverage curve — the coordinator owns the
+  /// bound barrier — and captures the remaining queues plus the
+  /// lease-local digest sets in the result.
   LeaseMode Lease = LeaseMode::Off;
 };
 
@@ -152,7 +155,7 @@ inline void traceEvent(obs::MetricShard *MS, obs::TraceEventKind Kind,
 /// surviving roots of both queues, the first root absorbing the integer
 /// remainder so the total is exact (see obs::EstimateOne).
 template <typename WorkItem>
-inline void splitRootMass(std::vector<WorkItem> &Current,
+inline void splitRootMass(std::deque<WorkItem> &Current,
                           std::vector<WorkItem> &Deferred) {
   uint64_t Kept = Current.size() + Deferred.size();
   if (Kept == 0)
@@ -170,405 +173,17 @@ inline void splitRootMass(std::vector<WorkItem> &Current,
 }
 #endif
 
-/// Sequential reference driver: drains each bound's queue on the calling
-/// thread. This class is the Ctx its executor drives.
-template <typename Executor> class SequentialEngineDriver {
+/// The work-stealing driver; one executor per worker.
+template <typename Executor> class EngineDriver {
 public:
   using WorkItem = typename Executor::WorkItem;
 
-  SequentialEngineDriver(Executor &E, const IcbEngineOptions &Opts)
-      : E(E), Opts(Opts), DefaultPolicy(Opts.Limits.MaxPreemptionBound),
-        BP(Opts.Policy ? *Opts.Policy : DefaultPolicy) {
-    if (Opts.Metrics) {
-      Opts.Metrics->ensureShards(1);
-      MShard = &Opts.Metrics->shard(0);
-    }
-  }
-
-  SearchResult run() {
-    SearchResult Result;
-
-    if (Opts.Resume)
-      restore(*Opts.Resume);
-    else
-      seedRoots(E.rootItems(*this));
-
-    if (Opts.Lease == LeaseMode::Roots) {
-      // Roots lease: hand the seeded frontier back unexecuted. The
-      // degenerate no-schedulable-thread program has already accounted its
-      // single execution (and any deadlock) through the hooks above.
-      Stats.DistinctStates = Seen.size();
-      Stats.DistinctTerminalStates = Terminal.size();
-      Stats.Completed = true;
-      captureLease(Result);
-      Result.Stats = std::move(Stats);
-      Result.Bugs = Opts.CanonicalBugs
-                        ? takeCanonicalBugs(std::move(Canonical))
-                        : Bugs.take();
-      return Result;
-    }
-
-    // Algorithm 1 lines 9-21: drain the current bound, snapshot coverage,
-    // move on to the next. Checkpoint safe points sit between work-item
-    // chains: Local is empty there, so the frontier is exactly the two
-    // queues, in replayable FIFO order.
-    bool Stopped = false;
-    while (true) {
-      while (!WorkQueue.empty() && !LimitHit) {
-        if (Opts.Observer && Opts.Observer->stopRequested()) {
-          Stopped = true;
-          break;
-        }
-        WorkItem Item = std::move(WorkQueue.front());
-        WorkQueue.pop_front();
-        processItem(std::move(Item));
-        if (Opts.Observer && !LimitHit &&
-            Opts.Observer->checkpointDue(Stats.Executions))
-          emitResumable();
-      }
-      if (Stopped || Opts.Lease != LeaseMode::Off)
-        break; // A drain lease never advances past its bound.
-      Stats.PerBound.push_back({CurrBound, Seen.size(), Stats.Executions});
-      if (Opts.Observer)
-        Opts.Observer->onBoundComplete(Stats.PerBound.back());
-      if (LimitHit || NextQueue.empty() || CurrBound >= BP.frontierBound())
-        break;
-      ++CurrBound;
-      std::swap(WorkQueue, NextQueue);
-      NextQueue.clear();
-    }
-
-    if (Stopped && Opts.Lease == LeaseMode::Off)
-      emitResumable(); // Flush the frontier before reporting back.
-
-    Stats.DistinctStates = Seen.size();
-    Stats.DistinctTerminalStates = Terminal.size();
-    Stats.Completed = !Stopped && !LimitHit && WorkQueue.empty() &&
-                      (Opts.Lease != LeaseMode::Off || NextQueue.empty());
-    if (Opts.Lease == LeaseMode::Off)
-      Sampler.finish(Stats.Coverage);
-    else
-      captureLease(Result);
-    Result.Stats = std::move(Stats);
-    Result.Bugs = Opts.CanonicalBugs ? takeCanonicalBugs(std::move(Canonical))
-                                     : Bugs.take();
-    Result.Interrupted = Stopped;
-    if (!Stopped && Opts.Observer && Opts.Lease == LeaseMode::Off)
-      emitFinal(Result);
-    return Result;
-  }
-
-  // --- Executor context hooks ------------------------------------------
-  bool claimItem(uint64_t Digest) {
-    obs::ScopedPhase Timer(MShard, obs::Phase::CacheProbe);
-    bool Claimed = ItemCache.insert(Digest);
-    obs::count(MShard,
-               Claimed ? obs::Counter::ItemMiss : obs::Counter::ItemHit);
-    return Claimed;
-  }
-  void noteState(uint64_t Digest) {
-    obs::ScopedPhase Timer(MShard, obs::Phase::CacheProbe);
-    bool New = Seen.insert(Digest);
-    obs::count(MShard, New ? obs::Counter::SeenMiss : obs::Counter::SeenHit);
-#ifndef ICB_NO_METRICS
-    // Attribute first-seen states to the chain's seeding preemption site.
-    if (New && MShard && !ChainSite.empty())
-      MShard->Sites[ChainSite].NewStates.increment(CurrBound);
-#endif
-  }
-  void noteTerminal(uint64_t Digest) {
-    obs::ScopedPhase Timer(MShard, obs::Phase::CacheProbe);
-    bool New = Terminal.insert(Digest);
-    obs::count(MShard,
-               New ? obs::Counter::TerminalMiss : obs::Counter::TerminalHit);
-  }
-  void countSteps(uint64_t N) { Stats.TotalSteps += N; }
-  void defer(WorkItem &&Item) {
-    obs::count(MShard, obs::Counter::DeferredItems);
-#ifndef ICB_NO_METRICS
-    // A deferred item is a preemption taken at its site, executed (if
-    // ever) at the next bound — that bound indexes the Taken histogram.
-    if (MShard && !Item.Site.empty())
-      MShard->Sites[Item.Site].Taken.increment(CurrBound + 1);
-    if (tracing(MShard)) {
-      Item.Flow = ++FlowSeq;
-      traceEvent(MShard, obs::TraceEventKind::Defer, Item.Flow, 0,
-                 Item.Site, CurrBound + 1);
-    }
-#endif
-    NextQueue.push_back(std::move(Item));
-  }
-  void branch(WorkItem &&Item) {
-    obs::count(MShard, obs::Counter::BranchedItems);
-#ifndef ICB_NO_METRICS
-    if (tracing(MShard)) {
-      Item.Flow = ++FlowSeq;
-      traceEvent(MShard, obs::TraceEventKind::Branch, Item.Flow, 0,
-                 Item.Site, CurrBound);
-    }
-#endif
-    Local.push_back(std::move(Item));
-  }
-  unsigned bound() const { return CurrBound; }
-  const BoundPolicy &policy() const { return BP; }
-  obs::MetricShard *metrics() { return MShard; }
-
-  void recordBug(Bug NewBug) {
-    // Under preemption bounding the bound index *is* the preemption count
-    // (the paper's minimality guarantee); other policies keep the true
-    // count the executor measured.
-    if (BP.kind() == BoundKind::Preemption)
-      NewBug.Preemptions = CurrBound;
-#ifndef ICB_NO_METRICS
-    if (MShard && !ChainSite.empty())
-      MShard->Sites[ChainSite].Bugs.increment(CurrBound);
-    if (tracing(MShard))
-      traceEvent(MShard, obs::TraceEventKind::Bug, 0, 0, NewBug.Message,
-                 CurrBound);
-#endif
-    if (Opts.CanonicalBugs)
-      canonicalMergeBug(Canonical, std::move(NewBug));
-    else
-      Bugs.add(std::move(NewBug));
-    if (Opts.Limits.StopAtFirstBug)
-      LimitHit = true;
-  }
-
-  void endExecution(const ExecutionFacts &F) {
-    ++Stats.Executions;
-    Stats.StepsPerExecution.observe(F.Steps);
-    Stats.PreemptionsPerExecution.observe(CurrBound);
-    Stats.PreemptionHistogram.increment(CurrBound);
-    Stats.BlockingPerExecution.observe(F.Blocking);
-    if (F.ThreadsUsed)
-      Stats.ThreadsPerExecution.observe(F.ThreadsUsed);
-    if (Opts.Lease == LeaseMode::Off)
-      Sampler.observe(Stats.Coverage, Stats.Executions, Seen.size());
-    ICB_OBS(MShard, MShard->ExecutionsPerBound.increment(CurrBound));
-#ifndef ICB_NO_METRICS
-    EstCredited += F.EstMass;
-    if (MShard) {
-      MShard->EstMassPerBound.increment(CurrBound, F.EstMass);
-      if (!ChainSite.empty())
-        MShard->Sites[ChainSite].Execs.increment(CurrBound);
-    }
-    if (tracing(MShard))
-      traceEvent(MShard, obs::TraceEventKind::ExecEnd, F.Steps, 0,
-                 ChainSite, CurrBound);
-#endif
-    if (Stats.Executions >= Opts.Limits.MaxExecutions ||
-        Stats.TotalSteps >= Opts.Limits.MaxSteps ||
-        Seen.size() >= Opts.Limits.MaxStates)
-      LimitHit = true;
-    if (Opts.Observer && Opts.Observer->progressDue())
-      Opts.Observer->onProgress(progressSample());
-  }
-  // ---------------------------------------------------------------------
-
-private:
-  /// Coarse frontier sample for the progress ticker. Local holds the
-  /// in-flight chain's nonpreempting branches, so it counts as frontier.
-  obs::ProgressSample progressSample() const {
-    obs::ProgressSample S;
-    S.Bound = CurrBound;
-    S.MaxBound = BP.frontierBound();
-    S.Executions = Stats.Executions;
-    S.TotalSteps = Stats.TotalSteps;
-    S.States = Seen.size();
-    S.FrontierRemaining = WorkQueue.size() + Local.size();
-    S.DeferredNext = NextQueue.size();
-    S.Bugs = Opts.CanonicalBugs ? Canonical.size() : Bugs.bugs().size();
-    S.EstMass = EstCredited;
-    return S;
-  }
-
-  /// Seeds the bound-0 frontier from the executor's root items. The first
-  /// root is the default schedule; the policy charges every other root as
-  /// a free-switch deviation from it (the delay policy defers them to
-  /// bound 1; preemption and thread keep them all free — byte-identical
-  /// to the pre-seam seeding). The surviving roots split the whole
-  /// schedule-space mass between them (the estimator's invariant base).
-  void seedRoots(std::vector<WorkItem> Roots) {
-    std::vector<WorkItem> Current, Deferred;
-    for (size_t I = 0; I != Roots.size(); ++I) {
-      if (I == 0) {
-        Current.push_back(std::move(Roots[I]));
-        continue;
-      }
-      Decision D; // FreeSwitch.
-      BoundState Charged;
-      ChargeOutcome O = BP.chargeFor(D, Roots[I].BState, Charged);
-      if (O == ChargeOutcome::Prune)
-        continue;
-      Roots[I].BState = std::move(Charged);
-      if (O == ChargeOutcome::NextBound)
-        Deferred.push_back(std::move(Roots[I]));
-      else
-        Current.push_back(std::move(Roots[I]));
-    }
-#ifndef ICB_NO_METRICS
-    splitRootMass(Current, Deferred);
-#endif
-    for (WorkItem &W : Current)
-      WorkQueue.push_back(std::move(W));
-    for (WorkItem &W : Deferred)
-      NextQueue.push_back(std::move(W));
-  }
-
-  /// Rebuilds the driver from a resumable snapshot: frontier queues in
-  /// their original FIFO order, digest sets, statistics, the sampler
-  /// cursor, and the bug state (re-added in recorded order, so the
-  /// non-canonical collector's discovery order survives the round trip).
-  /// Item reconstruction (the model-VM executor replays each prefix
-  /// through the interpreter) is timed as the replay phase but touches no
-  /// counters — the counters must match an uninterrupted run's.
-  void restore(const EngineSnapshot &Snap) {
-    ICB_ASSERT(!Snap.Final, "resuming a finished run through the engine");
-    if (Opts.Metrics)
-      Opts.Metrics->restore(Snap.Metrics);
-    obs::ScopedPhase Timer(MShard, obs::Phase::Replay);
-    CurrBound = Snap.Bound;
-    for (const SavedWorkItem &S : Snap.CurrentQueue)
-      WorkQueue.push_back(E.loadItem(S));
-    for (const SavedWorkItem &S : Snap.NextQueue)
-      NextQueue.push_back(E.loadItem(S));
-    for (uint64_t Digest : Snap.SeenDigests)
-      Seen.insert(Digest);
-    for (uint64_t Digest : Snap.TerminalDigests)
-      Terminal.insert(Digest);
-    for (uint64_t Digest : Snap.ItemDigests)
-      ItemCache.insert(Digest);
-    Stats = Snap.Stats;
-    Stats.Completed = false;
-#ifndef ICB_NO_METRICS
-    // Progress-display seed only; the authoritative mass is the restored
-    // registry base plus whatever this segment credits.
-    EstCredited = Snap.Metrics.estMassTotal();
-#endif
-    Sampler.restoreState(Snap.Sampler);
-    for (const Bug &B : Snap.Bugs) {
-      if (Opts.CanonicalBugs)
-        canonicalMergeBug(Canonical, B);
-      else
-        Bugs.add(B);
-    }
-  }
-
-  /// Captures the lease output: whatever is left of the two queues plus
-  /// the lease-local digest sets (fresh caches in lease mode, so these are
-  /// exactly this lease's distinct probes).
-  void captureLease(SearchResult &Result) {
-    Result.LeaseCurrent.reserve(WorkQueue.size());
-    for (const WorkItem &W : WorkQueue)
-      Result.LeaseCurrent.push_back(E.saveItem(W));
-    Result.LeaseDeferred.reserve(NextQueue.size());
-    for (const WorkItem &W : NextQueue)
-      Result.LeaseDeferred.push_back(E.saveItem(W));
-    Result.LeaseSeen = Seen.digests();
-    Result.LeaseTerminal = Terminal.digests();
-    Result.LeaseItems = ItemCache.digests();
-  }
-
-  /// Emits a resumable safe-point snapshot (Local is empty here).
-  void emitResumable() {
-    obs::ScopedPhase Timer(MShard, obs::Phase::Snapshot);
-    obs::count(MShard, obs::Counter::Snapshots);
-    EngineSnapshot Snap;
-    Snap.Bound = CurrBound;
-    Snap.CurrentQueue.reserve(WorkQueue.size());
-    for (const WorkItem &W : WorkQueue)
-      Snap.CurrentQueue.push_back(E.saveItem(W));
-    for (const WorkItem &W : NextQueue)
-      Snap.NextQueue.push_back(E.saveItem(W));
-    Snap.Stats = Stats;
-    Snap.Stats.DistinctStates = Seen.size();
-    Snap.Stats.DistinctTerminalStates = Terminal.size();
-    Snap.Sampler = Sampler.saveState();
-    Snap.SeenDigests = Seen.digests();
-    Snap.TerminalDigests = Terminal.digests();
-    Snap.ItemDigests = ItemCache.digests();
-    if (Opts.CanonicalBugs)
-      for (const auto &Entry : Canonical)
-        Snap.Bugs.push_back(Entry.second);
-    else
-      Snap.Bugs = Bugs.bugs();
-    if (Opts.Metrics)
-      Snap.Metrics = Opts.Metrics->snapshot();
-    Opts.Observer->onCheckpoint(Snap);
-  }
-
-  /// Emits the Final snapshot of a run that ended on its own.
-  void emitFinal(const SearchResult &Result) {
-    obs::count(MShard, obs::Counter::Snapshots);
-    EngineSnapshot Snap;
-    Snap.Bound = CurrBound;
-    Snap.Final = true;
-    Snap.Stats = Result.Stats;
-    Snap.Bugs = Result.Bugs;
-    if (Opts.Metrics)
-      Snap.Metrics = Opts.Metrics->snapshot();
-    Opts.Observer->onCheckpoint(Snap);
-  }
-
-  /// Explores everything reachable from \p Item without further
-  /// preemptions; preemptive continuations go to NextQueue. The local
-  /// stack holds the nonpreempting branches (Algorithm 1 lines 33-37).
-  void processItem(WorkItem Item) {
-    Local.push_back(std::move(Item));
-    while (!Local.empty() && !LimitHit) {
-      WorkItem W = std::move(Local.back());
-      Local.pop_back();
-      obs::count(MShard, obs::Counter::Chains);
-#ifndef ICB_NO_METRICS
-      ChainSite = W.Site;
-      if (tracing(MShard))
-        traceEvent(MShard, obs::TraceEventKind::ExecBegin, W.Flow, 0,
-                   W.Site, CurrBound);
-#endif
-      obs::ScopedPhase Timer(MShard, obs::Phase::Execute);
-      E.runChain(std::move(W), *this);
-    }
-  }
-
-  Executor &E;
-  IcbEngineOptions Opts;
-  /// The preemption fallback when Opts.Policy is null (historical runs).
-  PreemptionBoundPolicy DefaultPolicy;
-  const BoundPolicy &BP;
-  std::deque<WorkItem> WorkQueue;
-  std::deque<WorkItem> NextQueue;
-  std::vector<WorkItem> Local;
-  StateCache Seen;      ///< Distinct visited states (coverage metric).
-  StateCache Terminal;  ///< Distinct terminal fingerprints (rt executor).
-  StateCache ItemCache; ///< (state, thread) pruning when caching is on.
-  unsigned CurrBound = 0;
-  bool LimitHit = false;
-  SearchStats Stats;
-  CoverageSampler<CoveragePoint> Sampler;
-  BugCollector Bugs;
-  CanonicalBugMap Canonical;
-  obs::MetricShard *MShard = nullptr; ///< Registry shard 0 (or null).
-  /// Seeding preemption site of the chain in flight — the attribution key
-  /// for states, executions, and bugs found downstream of it.
-  std::string ChainSite;
-  /// Trace flow ids handed to published items (0 = untraced).
-  uint64_t FlowSeq = 0;
-  /// Running total of credited schedule-space mass, for the progress
-  /// ticker only (the registry's merged histogram is authoritative).
-  uint64_t EstCredited = 0;
-};
-
-/// Work-stealing parallel driver; one executor per worker.
-template <typename Executor> class ParallelEngineDriver {
-public:
-  using WorkItem = typename Executor::WorkItem;
-
-  ParallelEngineDriver(std::vector<std::unique_ptr<Executor>> &Executors,
-                       const IcbEngineOptions &O)
-      : Executors(Executors), Opts(O),
+  EngineDriver(std::vector<Executor *> Execs, const IcbEngineOptions &O)
+      : Executors(std::move(Execs)), Opts(O),
         DefaultPolicy(O.Limits.MaxPreemptionBound),
         BP(O.Policy ? *O.Policy : DefaultPolicy),
         Jobs(static_cast<unsigned>(Executors.size())),
+        Canonical(O.CanonicalBugs || Jobs != 1),
         Seen(shardCountFor(O.Shards, Jobs)),
         Terminal(shardCountFor(O.Shards, Jobs)),
         ItemCache(shardCountFor(O.Shards, Jobs)), NextQueue(Jobs),
@@ -579,58 +194,33 @@ public:
 
   SearchResult run() {
     SearchResult Result;
-    // Roots leases never execute anything, so the coordinator always runs
-    // them through the sequential driver.
-    ICB_ASSERT(Opts.Lease != LeaseMode::Roots,
-               "roots leases use the sequential driver");
-
-    std::vector<WorkItem> Items;
     if (Opts.Resume) {
-      restore(*Opts.Resume, Items);
+      deal(restore(*Opts.Resume));
     } else {
       WorkerCtx Ctx0{*this, 0};
-      Items = seedRoots(Executors[0]->rootItems(Ctx0));
-      if (Items.empty()) {
-        // Degenerate single-execution program (already accounted by
-        // rootItems); mirror the sequential driver's snapshots.
-        finalize(Result, !Stop.load());
-        Result.Stats.PerBound.push_back(
-            {0, Seen.size(), Result.Stats.Executions});
-        Result.Stats.Coverage.push_back(
-            {Result.Stats.Executions, Seen.size()});
-        if (Opts.Observer)
-          emitFinal(Result);
-        return Result;
-      }
+      deal(seedRoots(Executors[0]->rootItems(Ctx0)));
+    }
+
+    if (Opts.Lease == LeaseMode::Roots) {
+      // Roots lease: hand the seeded frontier back unexecuted. The
+      // degenerate no-schedulable-thread program has already accounted its
+      // single execution (and any deadlock) through rootItems.
+      captureLease(Result);
+      finalize(Result, true);
+      return Result;
     }
 
     WorkerPool Pool(Jobs);
-    bool MoreBounds = false;
     while (true) {
-      // Deal this bound's roots round-robin across the worker deques.
-      Pending.store(Items.size(), std::memory_order_relaxed);
-      for (size_t I = 0; I != Items.size(); ++I)
-        Workers[I % Jobs].Deque.pushBottom(std::move(Items[I]));
-      Items.clear();
-
       // One fork/join round drains the bound; the join is the barrier
       // that guarantees bound c is exhausted before bound c + 1 begins.
       Pool.run([this](unsigned Index) { workerMain(Index); });
 
       if (Opts.Lease != LeaseMode::Off) {
-        // One lease round: capture the remaining frontier (unexecuted
-        // items only when a limit or stop cut the round short) instead of
+        // Drain lease: capture the remaining frontier (unexecuted items
+        // only when a limit or stop cut the round short) instead of
         // advancing the bound — the coordinator owns the barrier.
-        for (WorkerState &W : Workers) {
-          WorkItem Item;
-          while (W.Deque.tryPopBottom(Item))
-            Result.LeaseCurrent.push_back(Executors[0]->saveItem(Item));
-        }
-        for (WorkItem &Item : NextQueue.drain())
-          Result.LeaseDeferred.push_back(Executors[0]->saveItem(Item));
-        Result.LeaseSeen = Seen.digests();
-        Result.LeaseTerminal = Terminal.digests();
-        Result.LeaseItems = ItemCache.digests();
+        captureLease(Result);
         Result.Interrupted = ExternalStop.load();
         finalize(Result, !Stop.load() && Result.LeaseCurrent.empty());
         return Result;
@@ -639,10 +229,8 @@ public:
       if (ExternalStop.load()) {
         // Cooperative stop: every in-flight chain finished before its
         // worker exited, so the remaining frontier sits wholly in the
-        // deques and the striped next queue — drain it into one
-        // resumable snapshot. (Item order is attribution-dependent, but
-        // the parallel driver's results are order-independent anyway.)
-        emitStopSnapshot();
+        // deques and the striped next queue.
+        emitResumable();
         Result.Interrupted = true;
         finalize(Result, false);
         return Result;
@@ -650,25 +238,23 @@ public:
 
       // Quiescent: every count below is exact and schedule-independent.
       Base.PerBound.push_back({CurrBound, Seen.size(), Executions.load()});
-      Base.Coverage.push_back({Executions.load(), Seen.size()});
+      if (Jobs != 1)
+        Base.Coverage.push_back({Executions.load(), Seen.size()});
       if (Opts.Observer)
         Opts.Observer->onBoundComplete(Base.PerBound.back());
-
-      Items = NextQueue.drain();
-      DeferredCount.store(0, std::memory_order_relaxed);
-      if (Stop.load() || Items.empty() || CurrBound >= BP.frontierBound()) {
-        MoreBounds = !Items.empty();
+      if (Stop.load() || NextQueue.empty() || CurrBound >= BP.frontierBound())
         break;
-      }
       ++CurrBound;
+      DeferredCount.store(0, std::memory_order_relaxed);
+      deal(NextQueue.drain());
 
-      // Periodic checkpoints land on bound barriers, normalized so the
-      // drained deferred items are the (new) current bound's roots.
+      // Periodic checkpoints land on bound barriers too, where the dealt
+      // deferred items are the (new) current bound's roots.
       if (Opts.Observer && Opts.Observer->checkpointDue(Executions.load()))
-        emitBarrierSnapshot(Items);
+        emitResumable();
     }
 
-    finalize(Result, !Stop.load() && !MoreBounds);
+    finalize(Result, !Stop.load() && NextQueue.empty());
     if (Opts.Observer)
       emitFinal(Result);
     return Result;
@@ -698,7 +284,7 @@ private:
   /// the driver with the worker index attached, plus the worker's private
   /// metric shard (null when the run has no registry).
   struct WorkerCtx {
-    ParallelEngineDriver &D;
+    EngineDriver &D;
     unsigned Index;
     obs::MetricShard *MS;
     /// Seeding preemption site of this worker's chain in flight (set by
@@ -709,7 +295,7 @@ private:
     /// worker index so publications never collide across workers.
     uint64_t FlowSeq = 0;
 
-    WorkerCtx(ParallelEngineDriver &D, unsigned Index)
+    WorkerCtx(EngineDriver &D, unsigned Index)
         : D(D), Index(Index),
           MS(D.Opts.Metrics ? &D.Opts.Metrics->shard(Index) : nullptr) {}
 
@@ -805,14 +391,16 @@ private:
     }
   };
 
-  /// Seeds the bound-0 frontier from the executor's root items, mirroring
-  /// the sequential driver: the first root is the default schedule and the
-  /// policy charges every other root as a free-switch deviation. Returns
-  /// the current bound's roots; NextBound-charged roots go to the striped
-  /// next queue.
-  std::vector<WorkItem> seedRoots(std::vector<WorkItem> Roots) {
-    std::vector<WorkItem> Kept, Deferred;
-    Kept.reserve(Roots.size());
+  /// Seeds the bound-0 frontier from the executor's root items. The first
+  /// root is the default schedule; the policy charges every other root as
+  /// a free-switch deviation from it (the delay policy defers them to
+  /// bound 1; preemption and thread keep them all free). The surviving
+  /// roots split the whole schedule-space mass between them (the
+  /// estimator's invariant base). Returns the current bound's roots;
+  /// NextBound-charged roots go to the striped next queue.
+  std::deque<WorkItem> seedRoots(std::vector<WorkItem> Roots) {
+    std::deque<WorkItem> Kept;
+    std::vector<WorkItem> Deferred;
     for (size_t I = 0; I != Roots.size(); ++I) {
       if (I == 0) {
         Kept.push_back(std::move(Roots[I]));
@@ -830,8 +418,6 @@ private:
         Kept.push_back(std::move(Roots[I]));
     }
 #ifndef ICB_NO_METRICS
-    // Same split order as the sequential driver (kept roots first, root 0
-    // absorbing the remainder), so the credited masses are byte-identical.
     splitRootMass(Kept, Deferred);
 #endif
     for (WorkItem &W : Deferred) {
@@ -839,6 +425,18 @@ private:
       NextQueue.push(0, std::move(W));
     }
     return Kept;
+  }
+
+  /// Deals the current bound's roots round-robin onto the worker deques,
+  /// last root first, so every worker pops its share front to back — one
+  /// worker explores them exactly in queue order. The queue is freed as it
+  /// is dealt.
+  void deal(std::deque<WorkItem> Items) {
+    Pending.store(Items.size(), std::memory_order_relaxed);
+    for (size_t I = Items.size(); I-- != 0;) {
+      Workers[I % Jobs].Deque.pushBottom(std::move(Items.back()));
+      Items.pop_back();
+    }
   }
 
   bool takeItem(unsigned Index, obs::MetricShard *MS, WorkItem &Out) {
@@ -883,6 +481,11 @@ private:
         // our claim last means Pending only hits zero once no work
         // remains.
         Pending.fetch_sub(1, std::memory_order_acq_rel);
+        // A lone worker is quiescent between chains: a safe point.
+        if (Jobs == 1 && Opts.Observer &&
+            !Stop.load(std::memory_order_relaxed) &&
+            Opts.Observer->checkpointDue(Executions.load()))
+          emitResumable();
         continue;
       }
       if (Pending.load(std::memory_order_acquire) == 0)
@@ -897,7 +500,10 @@ private:
     // other policies keep the executor's measured count.
     if (BP.kind() == BoundKind::Preemption)
       NewBug.Preemptions = CurrBound;
-    canonicalMergeBug(Workers[Index].Bugs, std::move(NewBug));
+    if (Canonical)
+      canonicalMergeBug(Workers[Index].Bugs, std::move(NewBug));
+    else
+      FirstBugs.add(std::move(NewBug));
     BugCount.fetch_add(1, std::memory_order_relaxed);
     if (Opts.Limits.StopAtFirstBug)
       Stop.store(true, std::memory_order_relaxed);
@@ -913,6 +519,8 @@ private:
     W.BlockingPerExecution.observe(F.Blocking);
     if (F.ThreadsUsed)
       W.ThreadsPerExecution.observe(F.ThreadsUsed);
+    if (Jobs == 1 && Opts.Lease == LeaseMode::Off)
+      Sampler.observe(Base.Coverage, Execs, Seen.size());
     ICB_OBS(MS, MS->ExecutionsPerBound.increment(CurrBound));
 #ifndef ICB_NO_METRICS
     EstCredited.fetch_add(F.EstMass, std::memory_order_relaxed);
@@ -964,26 +572,31 @@ private:
 
   void finalize(SearchResult &Result, bool Complete) {
     mergeWorkersIntoBase();
+    if (Jobs == 1)
+      Sampler.finish(Base.Coverage);
     Base.Executions = Executions.load();
     Base.TotalSteps = TotalSteps.load();
     Base.DistinctStates = Seen.size();
     Base.DistinctTerminalStates = Terminal.size();
     Base.Completed = Complete;
     Result.Stats = std::move(Base);
-    Result.Bugs = takeCanonicalBugs(std::move(BaseBugs));
+    Result.Bugs =
+        Canonical ? takeCanonicalBugs(std::move(BaseBugs)) : FirstBugs.take();
   }
 
-  /// Seeds the driver from a resumable snapshot; \p Items receives the
-  /// current bound's roots. Reconstruction is timed as the replay phase
-  /// but touches no counters (they must match an uninterrupted run's).
-  void restore(const EngineSnapshot &Snap, std::vector<WorkItem> &Items) {
+  /// Seeds the driver from a resumable snapshot and returns the current
+  /// bound's roots. Item reconstruction (the model-VM executor replays
+  /// each prefix through the interpreter) is timed as the replay phase but
+  /// touches no counters — they must match an uninterrupted run's. Bugs
+  /// are re-added in recorded order, so the first-exposure list's
+  /// discovery order survives the round trip.
+  std::deque<WorkItem> restore(const EngineSnapshot &Snap) {
     ICB_ASSERT(!Snap.Final, "resuming a finished run through the engine");
     if (Opts.Metrics)
       Opts.Metrics->restore(Snap.Metrics);
-    obs::MetricShard *MS = Opts.Metrics ? &Opts.Metrics->shard(0) : nullptr;
-    obs::ScopedPhase Timer(MS, obs::Phase::Replay);
+    obs::ScopedPhase Timer(shard0(), obs::Phase::Replay);
     CurrBound = Snap.Bound;
-    Items.reserve(Snap.CurrentQueue.size());
+    std::deque<WorkItem> Items;
     for (const SavedWorkItem &S : Snap.CurrentQueue)
       Items.push_back(Executors[0]->loadItem(S));
     for (const SavedWorkItem &S : Snap.NextQueue) {
@@ -1006,68 +619,83 @@ private:
 #endif
     Executions.store(Snap.Stats.Executions);
     TotalSteps.store(Snap.Stats.TotalSteps);
-    for (const Bug &B : Snap.Bugs)
-      canonicalMergeBug(BaseBugs, B);
+    Sampler.restoreState(Snap.Sampler);
+    for (const Bug &B : Snap.Bugs) {
+      if (Canonical)
+        canonicalMergeBug(BaseBugs, B);
+      else
+        FirstBugs.add(B);
+    }
     BugCount.store(Snap.Bugs.size(), std::memory_order_relaxed);
+    return Items;
   }
 
-  /// Shared tail of both resumable snapshot forms: statistics, digest
-  /// sets, and the canonical bug map so far.
-  void fillCommonSnapshot(EngineSnapshot &Snap) {
+  /// The current bound's frontier, worker by worker in pop order — for one
+  /// worker, exactly the order it would have continued in. Quiescent
+  /// callers only.
+  std::vector<SavedWorkItem> saveCurrent() const {
+    std::vector<SavedWorkItem> Out;
+    for (const WorkerState &W : Workers)
+      W.Deque.forEachFromBottom([&](const WorkItem &Item) {
+        Out.push_back(Executors[0]->saveItem(Item));
+      });
+    return Out;
+  }
+
+  /// The items deferred to the next bound, in publication order per stripe.
+  std::vector<SavedWorkItem> saveNext() const {
+    std::vector<SavedWorkItem> Out;
+    NextQueue.forEach([&](const WorkItem &Item) {
+      Out.push_back(Executors[0]->saveItem(Item));
+    });
+    return Out;
+  }
+
+  /// Captures the lease output: the unexecuted frontier of both bounds
+  /// plus the lease-local digest sets (fresh caches in lease mode, so
+  /// these are exactly this lease's distinct probes).
+  void captureLease(SearchResult &Result) {
+    Result.LeaseCurrent = saveCurrent();
+    Result.LeaseDeferred = saveNext();
+    Result.LeaseSeen = Seen.digests();
+    Result.LeaseTerminal = Terminal.digests();
+    Result.LeaseItems = ItemCache.digests();
+  }
+
+  /// Emits a resumable snapshot at a safe point — a bound barrier, the
+  /// join of a stopped round, or (one worker) between chains — where no
+  /// chain is in flight, so the deques and the next queue hold the whole
+  /// frontier.
+  void emitResumable() {
+    obs::ScopedPhase Timer(shard0(), obs::Phase::Snapshot);
+    obs::count(shard0(), obs::Counter::Snapshots);
+    mergeWorkersIntoBase();
+    EngineSnapshot Snap;
+    Snap.Bound = CurrBound;
+    Snap.CurrentQueue = saveCurrent();
+    Snap.NextQueue = saveNext();
     Snap.Stats = Base;
     Snap.Stats.Executions = Executions.load();
     Snap.Stats.TotalSteps = TotalSteps.load();
     Snap.Stats.DistinctStates = Seen.size();
     Snap.Stats.DistinctTerminalStates = Terminal.size();
+    Snap.Sampler = Sampler.saveState();
     Snap.SeenDigests = Seen.digests();
     Snap.TerminalDigests = Terminal.digests();
     Snap.ItemDigests = ItemCache.digests();
-    for (const auto &Entry : BaseBugs)
-      Snap.Bugs.push_back(Entry.second);
+    if (Canonical)
+      for (const auto &Entry : BaseBugs)
+        Snap.Bugs.push_back(Entry.second);
+    else
+      Snap.Bugs = FirstBugs.bugs();
     if (Opts.Metrics)
       Snap.Metrics = Opts.Metrics->snapshot();
-  }
-
-  /// Bound-barrier checkpoint: \p Items are the (already advanced)
-  /// current bound's roots; the striped queue is empty here.
-  void emitBarrierSnapshot(const std::vector<WorkItem> &Items) {
-    obs::MetricShard *MS = Opts.Metrics ? &Opts.Metrics->shard(0) : nullptr;
-    obs::ScopedPhase Timer(MS, obs::Phase::Snapshot);
-    obs::count(MS, obs::Counter::Snapshots);
-    mergeWorkersIntoBase();
-    EngineSnapshot Snap;
-    Snap.Bound = CurrBound;
-    Snap.CurrentQueue.reserve(Items.size());
-    for (const WorkItem &W : Items)
-      Snap.CurrentQueue.push_back(Executors[0]->saveItem(W));
-    fillCommonSnapshot(Snap);
-    Opts.Observer->onCheckpoint(Snap);
-  }
-
-  /// Mid-bound cooperative-stop checkpoint: drains the worker deques and
-  /// the striped next queue (the pool has joined; nothing is in flight).
-  void emitStopSnapshot() {
-    obs::MetricShard *MS = Opts.Metrics ? &Opts.Metrics->shard(0) : nullptr;
-    obs::ScopedPhase Timer(MS, obs::Phase::Snapshot);
-    obs::count(MS, obs::Counter::Snapshots);
-    mergeWorkersIntoBase();
-    EngineSnapshot Snap;
-    Snap.Bound = CurrBound;
-    for (WorkerState &W : Workers) {
-      WorkItem Item;
-      while (W.Deque.tryPopBottom(Item))
-        Snap.CurrentQueue.push_back(Executors[0]->saveItem(Item));
-    }
-    for (WorkItem &Item : NextQueue.drain())
-      Snap.NextQueue.push_back(Executors[0]->saveItem(Item));
-    fillCommonSnapshot(Snap);
     Opts.Observer->onCheckpoint(Snap);
   }
 
   /// Final snapshot of a run that ended on its own.
   void emitFinal(const SearchResult &Result) {
-    obs::MetricShard *MS = Opts.Metrics ? &Opts.Metrics->shard(0) : nullptr;
-    obs::count(MS, obs::Counter::Snapshots);
+    obs::count(shard0(), obs::Counter::Snapshots);
     EngineSnapshot Snap;
     Snap.Bound = CurrBound;
     Snap.Final = true;
@@ -1078,6 +706,12 @@ private:
     Opts.Observer->onCheckpoint(Snap);
   }
 
+  /// Registry shard 0, which the driving thread records into between
+  /// rounds (null when the run has no registry).
+  obs::MetricShard *shard0() const {
+    return Opts.Metrics ? &Opts.Metrics->shard(0) : nullptr;
+  }
+
   static unsigned shardCountFor(unsigned Requested, unsigned Jobs) {
     if (Requested)
       return Requested; // Cache rounds up to a power of two itself.
@@ -1085,12 +719,15 @@ private:
     return Want < 64 ? 64 : Want;
   }
 
-  std::vector<std::unique_ptr<Executor>> &Executors;
+  std::vector<Executor *> Executors;
   IcbEngineOptions Opts;
   /// The preemption fallback when Opts.Policy is null (historical runs).
   PreemptionBoundPolicy DefaultPolicy;
   const BoundPolicy &BP;
   unsigned Jobs;
+  /// Canonical bug reports; off only for one worker without
+  /// Opts.CanonicalBugs, which keeps FirstBugs instead.
+  bool Canonical;
 
   ShardedStateCache Seen;      ///< Distinct visited states.
   ShardedStateCache Terminal;  ///< Distinct terminal fingerprints (rt).
@@ -1119,18 +756,23 @@ private:
   /// grown by mergeWorkersIntoBase() at quiescent points.
   SearchStats Base;
   CanonicalBugMap BaseBugs;
+  /// First-exposure bugs in discovery order (one worker, non-canonical).
+  BugCollector FirstBugs;
+  /// Per-execution coverage curve (one worker outside leases; several
+  /// workers append a point per bound barrier instead).
+  CoverageSampler<CoveragePoint> Sampler;
 
   unsigned CurrBound = 0; ///< Written between rounds only.
 };
 
 } // namespace detail
 
-/// Runs Algorithm 1 sequentially with \p E executing the work items.
+/// Runs Algorithm 1 on one worker, inline on the calling thread, with \p E
+/// executing the work items.
 template <typename Executor>
 SearchResult runSequentialIcbEngine(Executor &E,
                                     const IcbEngineOptions &Opts) {
-  detail::SequentialEngineDriver<Executor> Driver(E, Opts);
-  return Driver.run();
+  return detail::EngineDriver<Executor>({&E}, Opts).run();
 }
 
 /// Runs Algorithm 1 with one worker (and one executor) per entry of
@@ -1139,8 +781,10 @@ template <typename Executor>
 SearchResult
 runParallelIcbEngine(std::vector<std::unique_ptr<Executor>> &Executors,
                      const IcbEngineOptions &Opts) {
-  detail::ParallelEngineDriver<Executor> Driver(Executors, Opts);
-  return Driver.run();
+  std::vector<Executor *> Workers;
+  for (std::unique_ptr<Executor> &E : Executors)
+    Workers.push_back(E.get());
+  return detail::EngineDriver<Executor>(std::move(Workers), Opts).run();
 }
 
 } // namespace icb::search

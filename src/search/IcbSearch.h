@@ -27,6 +27,11 @@
 /// paper describes: "State caching is orthogonal to the idea of
 /// context-bounding; our algorithm may be used with or without it."
 ///
+/// Each bound's queue is drained by `Jobs` workers (search/IcbEngine.h):
+/// one worker runs inline in a fixed order, several steal work from each
+/// other and merge their results commutatively, so aggregate results do
+/// not depend on the worker count.
+///
 //===----------------------------------------------------------------------===//
 
 #ifndef ICB_SEARCH_ICBSEARCH_H
@@ -42,13 +47,20 @@ namespace icb::search {
 class IcbSearch final : public Strategy {
 public:
   struct Options {
+    /// Worker threads draining each bound. 0 picks the hardware
+    /// concurrency.
+    unsigned Jobs = 1;
+    /// Shards in the concurrent state caches; 0 derives one from the
+    /// worker count (at least 64, at least 8x jobs, power of two).
+    unsigned Shards = 0;
     /// Prune (state, thread) work items already explored (ZING mode).
     bool UseStateCache = false;
     /// Carry full schedules in work items so bug reports are replayable.
     /// Disable for exhaustive coverage runs to save queue memory.
     bool RecordSchedules = true;
     /// Bounded POR: sleep sets composed with the preemption bound
-    /// (VmExecutor::Options::UseSleepSets).
+    /// (VmExecutor::Options::UseSleepSets). Sleep sets travel inside the
+    /// work items, so the worker count does not affect results.
     bool UseSleepSets = false;
     SearchLimits Limits;
     /// Bound policy (see BoundPolicy.h). Null = preemption bounding at
@@ -61,7 +73,7 @@ public:
     obs::MetricsRegistry *Metrics = nullptr;
     /// Distributed lease participation (see search::LeaseMode). Any lease
     /// mode forces canonical bug reports — the coordinator's merge is
-    /// canonical by construction.
+    /// canonical by construction — as does more than one worker.
     LeaseMode Lease = LeaseMode::Off;
   };
 

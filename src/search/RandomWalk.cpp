@@ -6,7 +6,7 @@
 
 #include "search/RandomWalk.h"
 #include "obs/PhaseTimer.h"
-#include "search/StateCache.h"
+#include "search/ShardedStateCache.h"
 #include "support/Prng.h"
 #include <algorithm>
 
@@ -21,7 +21,7 @@ std::string describeDeadlock(const Interp &Interp, const State &S);
 
 SearchResult RandomWalk::run(const Interp &Interp) {
   Xoshiro256 Rng(Opts.Seed);
-  StateCache Seen;
+  ShardedStateCache Seen;
   SearchResult Result;
   BugCollector Bugs;
   SearchStats &Stats = Result.Stats;

@@ -103,7 +103,7 @@ struct SavedWorkItem {
   std::string Site;
 };
 
-/// How the ICB drivers participate in a distributed run (dist/). A lease
+/// How the ICB driver participates in a distributed run (dist/). A lease
 /// is one batch of a single bound's work items executed in isolation by a
 /// worker process with fresh caches; the coordinator owns the global
 /// frontier and merges the per-lease deltas commutatively.
@@ -112,8 +112,7 @@ enum class LeaseMode : uint8_t {
   Roots, ///< Seed the bound-0 frontier (executor root items charged and
          ///< mass-split exactly as a local run would) and return both
          ///< queues *unexecuted*; the degenerate no-schedulable-thread
-         ///< program still accounts its single execution. Sequential
-         ///< driver only.
+         ///< program still accounts its single execution.
   Drain, ///< Resume from a synthetic snapshot carrying one bound's leased
          ///< items, drain exactly that bound, and return the deferred
          ///< continuations instead of advancing. Per-bound/coverage rows

@@ -5,17 +5,19 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// The concurrent counterpart of StateCache: a set of 64-bit state (or
+/// The visited-state set of every search: a set of 64-bit state (or
 /// work-item) digests sharded over independently locked open-addressing
-/// tables so the parallel ICB workers' `Seen`/`ItemCache` probes do not
+/// tables so concurrent ICB workers' `Seen`/`ItemCache` probes do not
 /// serialize on one mutex. Digests are already well mixed (SplitMix64
 /// finalizer output), so the shard index is taken from the *high* bits and
 /// the in-shard slot from the *low* bits — the two are independent.
 ///
-/// Membership is by digest only (hash compaction), exactly like the
-/// sequential cache; DESIGN.md discusses why collisions are negligible at
-/// our state counts. Inserts are linearizable per digest: for every digest
-/// exactly one insert() call across all threads returns true.
+/// Algorithm 1's optional caching keys on whole work items (state,
+/// thread); plain DFS caches states. Membership is by 64-bit digest only
+/// (hash compaction, as ZING does for large models); DESIGN.md discusses
+/// why collisions are negligible at our state counts. Inserts are
+/// linearizable per digest: for every digest exactly one insert() call
+/// across all threads returns true.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -53,14 +55,14 @@ public:
   bool contains(uint64_t Digest) const;
 
   /// Number of stored digests. Exact when no inserts are in flight (the
-  /// parallel engine reads it at bound barriers); a lower-bound hint while
+  /// engine reads it at bound barriers); a lower-bound hint while
   /// inserts race (good enough for the MaxStates limit check).
   uint64_t size() const;
 
   void clear();
 
   /// All stored digests in unspecified order (checkpoint serialization).
-  /// Callers must quiesce concurrent inserts first (the drivers snapshot
+  /// Callers must quiesce concurrent inserts first (the driver snapshots
   /// only at bound barriers or after worker shutdown).
   std::vector<uint64_t> digests() const;
 

@@ -17,22 +17,14 @@ namespace icb::session {
 // File format
 //===----------------------------------------------------------------------===//
 
-/// Version 2 added the optional `metrics` block to snapshots (and
-/// `mean_milli` to every MinMax object). Version 3 added bounded POR
-/// (optional `por` meta field, optional `sleep` on saved work items, POR
-/// counters in the metrics block) and the "*"-compact digest encoding.
-/// Version 4 added the bound policy (optional `bound`/`var_bound` meta
-/// fields, optional `bound_threads`/`bound_vars` on saved work items) and
-/// deduplicates digest sets on write. Version 5 added the exploration
-/// telemetry (optional `est_mass_per_bound`/`sites` metrics fields,
-/// optional `site_new_states` in the timing block, optional
-/// `est_mass`/`site` on saved work items). Loaders accept all five: every
-/// later-version field is optional with a backward-compatible default
-/// (missing policy fields imply preemption bounding, missing telemetry
-/// resumes with the estimator uncredited), and the digest decoder reads
-/// both hex forms.
+/// The only format loadCheckpoint accepts is the one this build writes:
+/// no checkpoint outlives the build that wrote it, so older versions are
+/// refused rather than defaulted. Version 5 added the exploration
+/// telemetry (the estimator mass and per-site profiles) to the v4 bound
+/// policy, the v3 bounded-POR fields, and the v2 metrics block. Work-item
+/// fields a writer omits when empty (`sleep`, `bound_threads`,
+/// `bound_vars`, `est_mass`, `site`) stay optional.
 static constexpr uint64_t CheckpointFormatVersion = 5;
-static constexpr uint64_t MinCheckpointFormatVersion = 1;
 
 uint64_t checkpointFormatVersion() { return CheckpointFormatVersion; }
 
@@ -57,33 +49,22 @@ JsonValue metaToJson(const CheckpointMeta &Meta) {
 bool metaFromJson(const JsonValue &V, CheckpointMeta &Out) {
   if (!V.isObject())
     return false;
-  uint64_t Jobs = 0, Shards = 0;
+  uint64_t Jobs = 0, Shards = 0, VarBound = 0;
   const JsonValue *Limits = V.find("limits");
   if (!V.getString("benchmark", Out.Benchmark) ||
       !V.getString("bug", Out.Bug) || !V.getString("form", Out.Form) ||
       !V.getString("strategy", Out.Strategy) || !V.getU64("jobs", Jobs) ||
       !V.getU64("shards", Shards) || !V.getU64("seed", Out.Seed) ||
       !V.getBool("every_access", Out.EveryAccess) ||
-      !V.getString("detector", Out.Detector) || !Limits ||
-      !limitsFromJson(*Limits, Out.Limits))
+      !V.getString("detector", Out.Detector) || !V.getBool("por", Out.Por) ||
+      !V.getString("bound", Out.Bound) || !V.getU64("var_bound", VarBound) ||
+      !Limits || !limitsFromJson(*Limits, Out.Limits))
     return false;
-  // Absent in format v2 and earlier (POR did not exist): defaults false.
-  if (V.find("por") && !V.getBool("por", Out.Por))
-    return false;
-  // Absent in format v3 and earlier (one hard-wired bound policy):
-  // defaults to preemption bounding with no variable cap.
-  if (V.find("bound") && !V.getString("bound", Out.Bound))
-    return false;
-  uint64_t VarBound = 0;
-  if (V.find("var_bound")) {
-    if (!V.getU64("var_bound", VarBound) || VarBound > ~0u)
-      return false;
-    Out.VarBound = static_cast<unsigned>(VarBound);
-  }
-  if (Jobs > ~0u || Shards > ~0u)
+  if (Jobs > ~0u || Shards > ~0u || VarBound > ~0u)
     return false;
   Out.Jobs = static_cast<unsigned>(Jobs);
   Out.Shards = static_cast<unsigned>(Shards);
+  Out.VarBound = static_cast<unsigned>(VarBound);
   return true;
 }
 
@@ -111,8 +92,7 @@ bool loadCheckpoint(const std::string &Path, CheckpointData &Out,
     return false;
   uint64_t Version = 0;
   if (!Doc.getU64("icb_checkpoint", Version) ||
-      Version < MinCheckpointFormatVersion ||
-      Version > CheckpointFormatVersion) {
+      Version != CheckpointFormatVersion) {
     if (Error)
       *Error = "not an icb checkpoint (or unsupported version)";
     return false;

@@ -18,7 +18,7 @@
 /// Writes are atomic (write-tmp, fsync, rename), so a SIGKILL at any
 /// instant leaves either the previous checkpoint or the new one — never a
 /// torn file. CheckpointSink is the search::EngineObserver implementation
-/// the drivers talk to: it fires every N executions, flushes a final
+/// the driver talks to: it fires every N executions, flushes a final
 /// snapshot on SIGINT/SIGTERM via SignalGuard's cooperative-stop flag, and
 /// owns all file I/O so the engine never blocks on persistence decisions.
 ///
@@ -88,8 +88,8 @@ bool loadCheckpoint(const std::string &Path, CheckpointData &Out,
                     std::string *Error);
 
 /// Scoped SIGINT/SIGTERM trap. While alive, the first signal only raises a
-/// flag — the drivers poll it via EngineObserver::stopRequested(), finish
-/// in-flight work, and flush a resumable checkpoint before exiting; a
+/// flag — the driver polls it via EngineObserver::stopRequested(), finishes
+/// in-flight work, and flushes a resumable checkpoint before exiting; a
 /// second signal falls through to the restored default disposition so a
 /// wedged run can still be killed.
 class SignalGuard {
@@ -107,7 +107,7 @@ private:
   void (*PrevTerm)(int);
 };
 
-/// The drivers' persistence observer: periodic + stop-triggered + final
+/// The driver's persistence observer: periodic + stop-triggered + final
 /// checkpoints into one file, wall-clock accounting across segments.
 class CheckpointSink : public search::EngineObserver {
 public:

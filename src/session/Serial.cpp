@@ -338,95 +338,52 @@ bool icb::session::metricsFromJson(const JsonValue &V,
   if (!TimingCounters || !TimingCounters->isObject() || !Phases ||
       !Phases->isObject())
     return false;
-  // Counter/phase names absent from the file default to zero: format v2
-  // checkpoints predate the POR metrics but must keep loading.
+  // Every block and name the writer emits is required.
   for (size_t I = 0; I != obs::NumCounters; ++I) {
     auto C = static_cast<obs::Counter>(I);
     const JsonValue &Section =
         obs::counterIsDeterministic(C) ? *Counters : *TimingCounters;
-    const char *Name = obs::counterName(C);
-    if (Section.find(Name) && !Section.getU64(Name, Out.Counters[I]))
+    if (!Section.getU64(obs::counterName(C), Out.Counters[I]))
       return false;
   }
   if (!minMaxFromJson(V.find("replay_depth"), Out.ReplayDepth))
     return false;
-  for (size_t I = 0; I != obs::NumPhases; ++I) {
-    const JsonValue *P =
-        Phases->find(obs::phaseName(static_cast<obs::Phase>(I)));
-    if (P && !minMaxFromJson(P, Out.Phases[I]))
-      return false;
-  }
-
-  // Optional: absent in checkpoints predating format v4.
-  Out.PhaseHist.assign(obs::NumPhases, Histogram());
-  if (const JsonValue *PhaseHist = Timing->find("phase_hist_log2")) {
-    if (!PhaseHist->isObject())
-      return false;
-    for (size_t I = 0; I != obs::NumPhases; ++I) {
-      const JsonValue *Buckets =
-          PhaseHist->find(obs::phaseName(static_cast<obs::Phase>(I)));
-      if (!Buckets)
-        continue;
-      if (!Buckets->isArray())
-        return false;
-      for (size_t J = 0; J != Buckets->Arr.size(); ++J) {
-        if (Buckets->Arr[J].K != JsonValue::Kind::Number)
-          return false;
-        Out.PhaseHist[I].increment(J, Buckets->Arr[J].U);
-      }
-    }
-  }
-
-  const JsonValue *PerBound = V.find("executions_per_bound");
-  if (!PerBound || !PerBound->isArray())
+  const JsonValue *PhaseHist = Timing->find("phase_hist_log2");
+  if (!PhaseHist || !PhaseHist->isObject())
     return false;
-  for (size_t I = 0; I != PerBound->Arr.size(); ++I) {
-    if (PerBound->Arr[I].K != JsonValue::Kind::Number)
+  Out.PhaseHist.assign(obs::NumPhases, Histogram());
+  for (size_t I = 0; I != obs::NumPhases; ++I) {
+    const char *Name = obs::phaseName(static_cast<obs::Phase>(I));
+    if (!minMaxFromJson(Phases->find(Name), Out.Phases[I]) ||
+        !histFromJson(PhaseHist->find(Name), Out.PhaseHist[I]))
       return false;
-    Out.ExecutionsPerBound.increment(I, PerBound->Arr[I].U);
   }
 
-  // Optional: absent in format v2 checkpoints.
-  if (const JsonValue *SleepSaved = V.find("sleep_saved_per_bound")) {
-    if (!SleepSaved->isArray())
-      return false;
-    for (size_t I = 0; I != SleepSaved->Arr.size(); ++I) {
-      if (SleepSaved->Arr[I].K != JsonValue::Kind::Number)
-        return false;
-      Out.SleepSavedPerBound.increment(I, SleepSaved->Arr[I].U);
-    }
-  }
+  if (!histFromJson(V.find("executions_per_bound"), Out.ExecutionsPerBound) ||
+      !histFromJson(V.find("sleep_saved_per_bound"),
+                    Out.SleepSavedPerBound) ||
+      !histFromJson(V.find("est_mass_per_bound"), Out.EstMassPerBound))
+    return false;
 
-  // Optional (format v5): estimator mass and per-site profiles. Absent in
-  // older checkpoints — the estimator resumes simply uncredited.
-  if (const JsonValue *EstMass = V.find("est_mass_per_bound"))
-    if (!histFromJson(EstMass, Out.EstMassPerBound))
+  const JsonValue *Sites = V.find("sites");
+  const JsonValue *SiteNew = Timing->find("site_new_states");
+  const JsonValue *SiteBug = Timing->find("site_bugs");
+  if (!Sites || !Sites->isObject() || !SiteNew || !SiteNew->isObject() ||
+      !SiteBug || !SiteBug->isObject())
+    return false;
+  for (const auto &Entry : Sites->Obj) {
+    obs::SiteStat &S = Out.Sites[Entry.first];
+    if (!Entry.second.isObject() ||
+        !histFromJson(Entry.second.find("taken"), S.Taken) ||
+        !histFromJson(Entry.second.find("execs"), S.Execs))
       return false;
-  if (const JsonValue *Sites = V.find("sites")) {
-    if (!Sites->isObject())
-      return false;
-    for (const auto &Entry : Sites->Obj) {
-      obs::SiteStat &S = Out.Sites[Entry.first];
-      if (!Entry.second.isObject() ||
-          !histFromJson(Entry.second.find("taken"), S.Taken) ||
-          !histFromJson(Entry.second.find("execs"), S.Execs))
-        return false;
-    }
   }
-  if (const JsonValue *SiteNew = Timing->find("site_new_states")) {
-    if (!SiteNew->isObject())
+  for (const auto &Entry : SiteNew->Obj)
+    if (!histFromJson(&Entry.second, Out.Sites[Entry.first].NewStates))
       return false;
-    for (const auto &Entry : SiteNew->Obj)
-      if (!histFromJson(&Entry.second, Out.Sites[Entry.first].NewStates))
-        return false;
-  }
-  if (const JsonValue *SiteBug = Timing->find("site_bugs")) {
-    if (!SiteBug->isObject())
+  for (const auto &Entry : SiteBug->Obj)
+    if (!histFromJson(&Entry.second, Out.Sites[Entry.first].Bugs))
       return false;
-    for (const auto &Entry : SiteBug->Obj)
-      if (!histFromJson(&Entry.second, Out.Sites[Entry.first].Bugs))
-        return false;
-  }
 
   const JsonValue *Workers = Timing->find("workers");
   if (!Workers || !Workers->isArray())
@@ -532,7 +489,7 @@ JsonValue itemsToJson(const std::vector<SavedWorkItem> &Items) {
     if (!Item.BoundVars.empty())
       Row.set("bound_vars", JsonValue::str(u64sToText(Item.BoundVars)));
     // Estimator mass and seeding site (format v5); absent when the
-    // estimator is dark, so older readers see nothing new to reject.
+    // estimator is dark.
     if (Item.EstMass != 0)
       Row.set("est_mass", JsonValue::number(Item.EstMass));
     if (!Item.Site.empty())
@@ -552,14 +509,14 @@ bool itemsFromJson(const JsonValue *V, std::vector<SavedWorkItem> &Out) {
         !tidsFromText(PrefixText, Item.Prefix) ||
         !RowV.getU32("next", Item.Next))
       return false;
-    // Optional: only POR items carry sleep sets (and v2 files never do).
+    // Optional: written only when non-empty, like the fields below.
     if (RowV.find("sleep")) {
       std::string SleepText;
       if (!RowV.getString("sleep", SleepText) ||
           !tidsFromText(SleepText, Item.Sleep))
         return false;
     }
-    // Optional (format v4): only thread-policy items carry budget sets.
+    // Only thread-policy items carry budget sets.
     if (RowV.find("bound_threads")) {
       std::string ThreadsText;
       if (!RowV.getString("bound_threads", ThreadsText) ||
@@ -572,7 +529,6 @@ bool itemsFromJson(const JsonValue *V, std::vector<SavedWorkItem> &Out) {
           !u64sFromText(VarsText, Item.BoundVars))
         return false;
     }
-    // Optional (format v5): estimator mass and seeding site.
     if (RowV.find("est_mass") && !RowV.getU64("est_mass", Item.EstMass))
       return false;
     if (RowV.find("site") && !RowV.getString("site", Item.Site))

@@ -34,7 +34,7 @@ public:
 
   /// Folds another tracker in; the result is what observing both streams
   /// in any order would have produced (merging is commutative, which is
-  /// what makes the parallel engine's per-worker stats order-independent).
+  /// what makes the search engine's per-worker stats order-independent).
   void merge(const MinMax &Other) {
     if (Other.Count == 0)
       return;

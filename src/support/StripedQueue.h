@@ -10,17 +10,19 @@
 /// steady-state pushes are uncontended); a single consumer drains all
 /// stripes in stripe order at a barrier. This carries the deferred
 /// (preempting) continuations from the workers of bound c to the work
-/// queue of bound c + 1.
+/// queue of bound c + 1. Stripes are chunked deques: a frontier of
+/// millions of items grows without the copies and the up-to-2x slack of a
+/// doubling vector.
 ///
 //===----------------------------------------------------------------------===//
 
 #ifndef ICB_SUPPORT_STRIPEDQUEUE_H
 #define ICB_SUPPORT_STRIPEDQUEUE_H
 
+#include <deque>
 #include <memory>
 #include <mutex>
 #include <utility>
-#include <vector>
 
 namespace icb {
 
@@ -41,22 +43,34 @@ public:
 
   /// Moves every queued item out, stripe by stripe in stripe order, and
   /// leaves the queue empty. Single-consumer; callers must ensure no
-  /// concurrent push (the parallel engine drains only at bound barriers).
-  std::vector<T> drain() {
-    std::vector<T> Out;
+  /// concurrent push (the search engine drains only at bound barriers).
+  std::deque<T> drain() {
+    std::deque<T> Out;
     for (unsigned I = 0; I != Stripes; ++I) {
       Stripe &Lane = Lanes[I];
       std::lock_guard<std::mutex> Guard(Lane.Mu);
       if (Out.empty()) {
-        Out = std::move(Lane.Items);
-        Lane.Items.clear(); // Moved-from: restore a definite empty state.
-      } else {
-        for (T &Item : Lane.Items)
-          Out.push_back(std::move(Item));
-        Lane.Items.clear();
+        Out.swap(Lane.Items);
+        continue;
+      }
+      // Popping as we go frees the source chunks while Out grows.
+      while (!Lane.Items.empty()) {
+        Out.push_back(std::move(Lane.Items.front()));
+        Lane.Items.pop_front();
       }
     }
     return Out;
+  }
+
+  /// Visits every queued item in drain order without removing it. Same
+  /// contract as drain(): no concurrent push.
+  template <typename Fn> void forEach(Fn &&Visit) const {
+    for (unsigned I = 0; I != Stripes; ++I) {
+      const Stripe &Lane = Lanes[I];
+      std::lock_guard<std::mutex> Guard(Lane.Mu);
+      for (const T &Item : Lane.Items)
+        Visit(Item);
+    }
   }
 
   bool empty() const {
@@ -72,7 +86,7 @@ public:
 private:
   struct Stripe {
     mutable std::mutex Mu;
-    std::vector<T> Items;
+    std::deque<T> Items;
   };
 
   unsigned Stripes;

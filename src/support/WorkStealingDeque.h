@@ -127,6 +127,18 @@ public:
     return true;
   }
 
+  /// Visits every queued item from the bottom (the next pop) to the top.
+  /// Quiescent use only: no other thread may touch the deque meanwhile
+  /// (the search engine snapshots its frontier only with no chain in
+  /// flight).
+  template <typename Fn> void forEachFromBottom(Fn &&Visit) const {
+    int64_t B = Bottom.load(std::memory_order_relaxed);
+    int64_t Tp = Top.load(std::memory_order_relaxed);
+    const Ring *R = Buf.load(std::memory_order_relaxed);
+    for (int64_t I = B; I-- > Tp;)
+      Visit(static_cast<const T &>(*R->get(I)));
+  }
+
   /// Racy size hint; exact only while no other thread mutates the deque.
   size_t sizeHint() const {
     int64_t B = Bottom.load(std::memory_order_relaxed);

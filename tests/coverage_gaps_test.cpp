@@ -20,7 +20,7 @@
 #include "rt/Thread.h"
 #include "search/Checker.h"
 #include "search/Dfs.h"
-#include "search/StateCache.h"
+#include "search/ShardedStateCache.h"
 #include "support/CommandLine.h"
 #include "vm/Builder.h"
 #include "vm/Disassembler.h"
@@ -152,8 +152,8 @@ TEST(StrategyNames, AreStable) {
 }
 
 TEST(StateCacheTest, InsertAndWorkItems) {
-  using icb::search::StateCache;
-  StateCache Cache;
+  using icb::search::ShardedStateCache;
+  ShardedStateCache Cache;
   EXPECT_TRUE(Cache.insert(42));
   EXPECT_FALSE(Cache.insert(42));
   EXPECT_TRUE(Cache.contains(42));

@@ -16,20 +16,25 @@
 /// the paper's preemption count and neither exposes it below that bound.
 /// Raw per-bound execution counts are *not* comparable across forms (the
 /// model VM is a coarser abstraction with fewer scheduling points), but
-/// within each form they are exact: with state caching off, the sequential
-/// and parallel drivers of either executor must report identical per-bound
-/// execution and coverage counts.
+/// within each form they are exact: with state caching off, one worker and
+/// several workers of either executor must report identical per-bound
+/// execution and coverage counts. Within each form the one-worker order is
+/// pinned too: the executions a `--jobs 1` check spends before its first
+/// bug are fixed by perfbench/reference.json.
 ///
 //===----------------------------------------------------------------------===//
 
 #include "benchmarks/Registry.h"
+#include "obs/Metrics.h"
 #include "rt/Explore.h"
+#include "search/BoundPolicy.h"
+#include "search/Checker.h"
 #include "search/IcbSearch.h"
-#include "search/ParallelIcb.h"
 #include "testutil/ResultChecks.h"
 #include "vm/Interp.h"
 #include <gtest/gtest.h>
 #include <map>
+#include <memory>
 #include <string>
 #include <utility>
 #include <vector>
@@ -76,13 +81,13 @@ search::SearchResult runVmIcb(const vm::Program &Prog, unsigned MaxBound,
 search::SearchResult runVmIcbParallel(const vm::Program &Prog,
                                       unsigned MaxBound, unsigned Jobs,
                                       bool Por = false) {
-  search::ParallelIcbSearch::Options Opts;
+  search::IcbSearch::Options Opts;
   Opts.Jobs = Jobs;
   Opts.UseStateCache = false;
   Opts.UseSleepSets = Por;
   Opts.Limits.MaxPreemptionBound = MaxBound;
   Opts.Limits.StopAtFirstBug = false;
-  search::ParallelIcbSearch Search(Opts);
+  search::IcbSearch Search(Opts);
   vm::Interp VM(Prog);
   return Search.run(VM);
 }
@@ -229,8 +234,8 @@ TEST(CrossEngine, PorNoExposureBelowPaperBound) {
 }
 
 TEST(CrossEngine, RtPerBoundCountsInvariantAcrossJobsWithPor) {
-  // Sleep sets travel inside work items, so the parallel driver prunes
-  // exactly what the sequential one does.
+  // Sleep sets travel inside work items, so several workers prune exactly
+  // what one does.
   for (const BugVariant *B : bothFormVariants()) {
     SCOPED_TRACE(B->Label);
     rt::ExploreResult Seq = runRtIcb(B->MakeRt(), B->PaperBound, 1, true);
@@ -252,6 +257,98 @@ TEST(CrossEngine, VmPerBoundCountsInvariantAcrossJobsWithPor) {
     EXPECT_EQ(Seq.Stats.Executions, Par.Stats.Executions);
     EXPECT_EQ(Seq.Stats.DistinctStates, Par.Stats.DistinctStates);
     EXPECT_EQ(bugSignature(Seq.Bugs), bugSignature(Par.Bugs));
+  }
+}
+
+/// The cost of one `--jobs 1` check to its first bug under icb_check's
+/// defaults, as perfbench/reference.json pins it.
+struct PinnedFirstBug {
+  const char *Benchmark;
+  const char *Bug;
+  unsigned Bound; ///< Preemption bound of the first (and only) bug.
+  uint64_t Executions, Steps, States, Deferred, Branched;
+  std::vector<uint64_t> ExecutionsPerBound;
+};
+
+/// icb_check's defaults: POR on, preemption bound 4, stop at the first bug,
+/// the vector-clock detector, 2^20 executions; the runtime form wherever a
+/// bug has one.
+search::SearchResult runFirstBug(const BugVariant &V,
+                                 obs::MetricsRegistry &Reg) {
+  std::unique_ptr<search::BoundPolicy> Policy =
+      search::makeBoundPolicy({"preemption", 4, 0});
+  search::SearchLimits Limits;
+  Limits.MaxExecutions = 1u << 20;
+  Limits.MaxPreemptionBound = 4;
+  Limits.StopAtFirstBug = true;
+  if (V.MakeRt) {
+    rt::ExploreOptions O;
+    O.Limits = Limits;
+    O.Policy = Policy.get();
+    O.Jobs = 1;
+    O.Por = true;
+    O.Exec.Detector = rt::DetectorKind::VectorClock;
+    O.Metrics = &Reg;
+    return rt::IcbExplorer(O).explore(V.MakeRt());
+  }
+  search::SearchOptions O;
+  O.Kind = search::StrategyKind::Icb;
+  O.Policy = Policy.get();
+  O.Jobs = 1;
+  O.UseSleepSets = true;
+  O.Limits = Limits;
+  O.Metrics = &Reg;
+  return search::checkProgram(V.MakeVm(), O);
+}
+
+TEST(OneWorkerOrder, FirstBugCostsMatchPinnedCounts) {
+  // One worker explores each bound's queue front to back and each item's
+  // nonpreempting branches depth-first. Any other order reaches these
+  // bugs after a different number of executions.
+  const PinnedFirstBug Checks[] = {
+      {"Dryad Channels", "late-write", 1, 9505, 1107597, 8589, 232100, 9508,
+       {2544, 9505}},
+      {"APE", "broken-stats-latch", 2, 1594, 98413, 7859, 5701, 377,
+       {12, 323, 1594}},
+      {"Work Stealing Queue", "pop-retry-no-lock", 2, 209, 12385, 3090, 2470,
+       88, {3, 67, 209}},
+      {"Bluetooth", "stop-vs-work check-then-act", 1, 63, 1094, 255, 198, 40,
+       {13, 63}},
+      // The model-VM form (Transaction Manager has no runtime form).
+      {"Transaction Manager", "commit-upsert", 3, 304, 3198, 1153, 886, 0,
+       {2, 30, 184, 304}},
+  };
+  for (const PinnedFirstBug &C : Checks) {
+    SCOPED_TRACE(std::string(C.Benchmark) + "/" + C.Bug);
+    const BenchmarkEntry *B = findBenchmark(C.Benchmark);
+    ASSERT_NE(B, nullptr);
+    const BugVariant *V = nullptr;
+    for (const BugVariant &Candidate : B->Bugs)
+      if (Candidate.Label == C.Bug)
+        V = &Candidate;
+    ASSERT_NE(V, nullptr);
+    obs::MetricsRegistry Reg;
+    search::SearchResult R = runFirstBug(*V, Reg);
+    ASSERT_EQ(R.Bugs.size(), 1u);
+    EXPECT_EQ(R.Bugs[0].Kind, search::BugKind::AssertFailure);
+    EXPECT_EQ(R.Bugs[0].Preemptions, C.Bound);
+    EXPECT_FALSE(R.Stats.Completed);
+    EXPECT_EQ(R.Stats.Executions, C.Executions);
+    EXPECT_EQ(R.Stats.TotalSteps, C.Steps);
+    EXPECT_EQ(R.Stats.DistinctStates, C.States);
+    std::vector<uint64_t> PerBound;
+    for (const search::BoundCoverage &Row : R.Stats.PerBound)
+      PerBound.push_back(Row.Executions);
+    EXPECT_EQ(PerBound, C.ExecutionsPerBound);
+#ifndef ICB_NO_METRICS
+    obs::MetricsSnapshot M = Reg.snapshot();
+    auto Count = [&M](obs::Counter K) {
+      return M.Counters[static_cast<size_t>(K)];
+    };
+    EXPECT_EQ(Count(obs::Counter::Chains), C.Executions);
+    EXPECT_EQ(Count(obs::Counter::DeferredItems), C.Deferred);
+    EXPECT_EQ(Count(obs::Counter::BranchedItems), C.Branched);
+#endif
   }
 }
 

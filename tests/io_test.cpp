@@ -28,6 +28,7 @@
 #include "posix/Runtime.h"
 #include "rt/Explore.h"
 #include "testutil/ResultChecks.h"
+#include <cstring>
 #include <gtest/gtest.h>
 
 using namespace icb;
@@ -417,6 +418,26 @@ TEST(IoHeap, QuarantineTrampleIsReported) {
   EXPECT_EQ(R.Bugs[0].Kind, search::BugKind::UseAfterFree);
   EXPECT_NE(R.Bugs[0].str().find("use-after-free"), std::string::npos)
       << R.Bugs[0].str();
+}
+
+TEST(IoHeap, ReallocWhileBlockTableIsFull) {
+  // Every realloc appends a block to the arena's table, so a run of them
+  // walks the table through several growths; the realloc that fills it
+  // moves the block being resized mid-call. Contents must survive, and an
+  // address-sanitized build must see no stale read of the moved block.
+  ExploreResult R = exploreIo(
+      [] {
+        char *P = static_cast<char *>(icb_malloc(8));
+        std::memcpy(P, "icbheap", 8);
+        for (int I = 0; I != 2048; ++I) {
+          P = static_cast<char *>(icb_realloc(P, 8));
+          icb_posix_assert(P && std::memcmp(P, "icbheap", 8) == 0,
+                           "realloc preserves contents");
+        }
+        icb_free(P);
+      },
+      /*MaxBound=*/0);
+  EXPECT_TRUE(R.Bugs.empty()) << (R.Bugs.empty() ? "" : R.Bugs[0].str());
 }
 
 TEST(IoHeap, CleanLifecycleHasNoReports) {

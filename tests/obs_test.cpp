@@ -22,7 +22,6 @@
 #include "obs/TraceLog.h"
 #include "rt/Explore.h"
 #include "search/IcbSearch.h"
-#include "search/ParallelIcb.h"
 #include "session/Json.h"
 #include "session/Serial.h"
 #include "testutil/ResultChecks.h"
@@ -476,22 +475,13 @@ obs::MetricsSnapshot runVmIcb(const vm::Program &Prog, unsigned Jobs,
                               bool UseCache) {
   obs::MetricsRegistry Reg;
   vm::Interp VM(Prog);
-  if (Jobs == 1) {
-    search::IcbSearch::Options Opts;
-    Opts.UseStateCache = UseCache;
-    Opts.Limits.MaxPreemptionBound = 2;
-    Opts.Limits.StopAtFirstBug = false;
-    Opts.Metrics = &Reg;
-    search::IcbSearch(Opts).run(VM);
-  } else {
-    search::ParallelIcbSearch::Options Opts;
-    Opts.Jobs = Jobs;
-    Opts.UseStateCache = UseCache;
-    Opts.Limits.MaxPreemptionBound = 2;
-    Opts.Limits.StopAtFirstBug = false;
-    Opts.Metrics = &Reg;
-    search::ParallelIcbSearch(Opts).run(VM);
-  }
+  search::IcbSearch::Options Opts;
+  Opts.Jobs = Jobs;
+  Opts.UseStateCache = UseCache;
+  Opts.Limits.MaxPreemptionBound = 2;
+  Opts.Limits.StopAtFirstBug = false;
+  Opts.Metrics = &Reg;
+  search::IcbSearch(Opts).run(VM);
   return Reg.snapshot();
 }
 

@@ -5,9 +5,9 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// Tests for the parallel ICB search engine and the concurrency
-/// infrastructure under it: determinism across worker counts, agreement
-/// with the sequential reference engine, the sharded state cache under
+/// Tests for the ICB search engine's workers and the concurrency
+/// infrastructure under them: determinism across worker counts, agreement
+/// between one worker and many, the sharded state cache under
 /// concurrent inserts, the incremental state digest against a full rescan,
 /// and the work-stealing deque / striped queue / worker pool primitives.
 ///
@@ -18,7 +18,6 @@
 #include "benchmarks/WsqModel.h"
 #include "search/Checker.h"
 #include "search/IcbSearch.h"
-#include "search/ParallelIcb.h"
 #include "search/ShardedStateCache.h"
 #include "support/StripedQueue.h"
 #include "support/WorkStealingDeque.h"
@@ -27,6 +26,7 @@
 #include "vm/Interp.h"
 #include <algorithm>
 #include <atomic>
+#include <deque>
 #include <gtest/gtest.h>
 #include <memory>
 #include <thread>
@@ -52,12 +52,12 @@ SearchResult runSequentialIcb(const vm::Program &Prog, unsigned MaxBound,
 
 SearchResult runParallelIcb(const vm::Program &Prog, unsigned Jobs,
                             unsigned MaxBound, bool UseCache) {
-  ParallelIcbSearch::Options Opts;
+  IcbSearch::Options Opts;
   Opts.Jobs = Jobs;
   Opts.UseStateCache = UseCache;
   Opts.Limits.MaxPreemptionBound = MaxBound;
   Opts.Limits.StopAtFirstBug = false;
-  ParallelIcbSearch Search(Opts);
+  IcbSearch Search(Opts);
   vm::Interp VM(Prog);
   return Search.run(VM);
 }
@@ -86,8 +86,8 @@ void expectSameMinMax(const MinMax &L, const MinMax &R) {
 
 /// Compares what the engines guarantee to agree on. With the item cache
 /// off, everything is comparable. With the cache on, *which* chain claims
-/// a shared (state, thread) node is timing/order-dependent (parallel) or
-/// LIFO-order-dependent (sequential), so the per-execution step/blocking
+/// a shared (state, thread) node is timing-dependent (several workers) or
+/// LIFO-order-dependent (one worker), so the per-execution step/blocking
 /// distributions and the exposing schedules are attribution-dependent and
 /// excluded (PerExecution = false); the aggregate counts, per-bound
 /// snapshots, preemption histogram, and bug sets with minimal preemption
@@ -180,10 +180,11 @@ TEST(ParallelIcb, MatchesSequentialOnTestPrograms) {
 
 TEST(ParallelIcb, DeterministicAcrossWorkerCounts) {
   // With the item cache off the engine enumerates the complete bounded
-  // tree and canonicalizes duplicate bug reports, so results — including
-  // the exposing schedules — are identical no matter how many workers
-  // race over the state space. Jobs=1 runs the same parallel engine on
-  // the calling thread, pinning the reference outcome.
+  // tree, so results — including the exposing schedules — are identical
+  // no matter how many workers race over the state space: several
+  // workers canonicalize duplicate bug reports to the minimal exposure,
+  // which here is also the one a lone worker, running inline on the
+  // calling thread, meets first.
   vm::Program Prog = wsqModel({3, WsqBug::PopCheckThenAct});
   SearchResult Ref = runParallelIcb(Prog, 1, 2, /*UseCache=*/false);
   ASSERT_TRUE(Ref.foundBug());
@@ -223,9 +224,8 @@ TEST(ParallelIcb, FindsMinimalPreemptionBugs) {
 }
 
 TEST(ParallelIcb, RespectsPreemptionBound) {
-  // The ladder needs 3 preemptions; below that bound the parallel engine
-  // must report a clean (and non-exhausted) search, exactly like the
-  // sequential one.
+  // The ladder needs 3 preemptions; below that bound four workers must
+  // report a clean (and non-exhausted) search, exactly like one.
   vm::Program Prog = preemptionLadder(3);
   SearchResult Low = runParallelIcb(Prog, 4, 2, /*UseCache=*/true);
   EXPECT_FALSE(Low.foundBug());
@@ -237,8 +237,8 @@ TEST(ParallelIcb, RespectsPreemptionBound) {
 }
 
 TEST(ParallelIcb, CheckerDispatchesOnJobs) {
-  // Through the public checkProgram() entry point: Jobs=1 runs the
-  // sequential engine, Jobs!=1 the parallel one; results agree.
+  // Through the public checkProgram() entry point: Jobs picks a worker
+  // count, not a strategy; results agree.
   SearchOptions Opts;
   Opts.Kind = StrategyKind::Icb;
   Opts.Limits.MaxPreemptionBound = 2;
@@ -249,7 +249,7 @@ TEST(ParallelIcb, CheckerDispatchesOnJobs) {
   Opts.Jobs = 4;
   SearchResult Par = checkProgram(Prog, Opts);
   expectSameSearch(Seq, Par, /*PerExecution=*/true);
-  EXPECT_STREQ(makeStrategy(Opts)->name().c_str(), "icb-par");
+  EXPECT_STREQ(makeStrategy(Opts)->name().c_str(), "icb");
 }
 
 // --- Sharded state cache --------------------------------------------------
@@ -510,7 +510,7 @@ TEST(StripedQueue, PushDrainConservation) {
   for (std::thread &T : Pushers)
     T.join();
   EXPECT_FALSE(Q.empty());
-  std::vector<int> Items = Q.drain();
+  std::deque<int> Items = Q.drain();
   EXPECT_TRUE(Q.empty());
   ASSERT_EQ(Items.size(), size_t(4) * N);
   std::sort(Items.begin(), Items.end());

@@ -7,8 +7,8 @@
 /// \file
 /// The session subsystem end to end: the strict JSON layer (round-trips
 /// and adversarial rejects), the manifest writer, checkpoint save/load,
-/// interrupted-run resume determinism for both executors' sequential and
-/// parallel drivers, `.icbrepro` round-trip + strict replay, and
+/// interrupted-run resume determinism for both executors at one and at
+/// several workers, `.icbrepro` round-trip + strict replay, and
 /// delta-debugging schedule minimization. The resume tests are the
 /// subsystem's acceptance criterion in miniature: a run cut short at an
 /// arbitrary safe point and resumed from the serialized checkpoint must be
@@ -20,7 +20,6 @@
 #include "benchmarks/WsqModel.h"
 #include "rt/Explore.h"
 #include "search/IcbSearch.h"
-#include "search/ParallelIcb.h"
 #include "session/Checkpoint.h"
 #include "session/DirLock.h"
 #include "session/Manifest.h"
@@ -267,17 +266,7 @@ search::SearchResult runVmIcb(const vm::Program &Prog, unsigned Jobs,
                               const search::EngineSnapshot *Resume = nullptr,
                               bool Por = false) {
   vm::Interp VM(Prog);
-  if (Jobs == 1) {
-    search::IcbSearch::Options Opts;
-    Opts.UseStateCache = false;
-    Opts.UseSleepSets = Por;
-    Opts.Limits.MaxPreemptionBound = 2;
-    Opts.Limits.StopAtFirstBug = false;
-    Opts.Observer = Obs;
-    Opts.Resume = Resume;
-    return search::IcbSearch(Opts).run(VM);
-  }
-  search::ParallelIcbSearch::Options Opts;
+  search::IcbSearch::Options Opts;
   Opts.Jobs = Jobs;
   Opts.UseStateCache = false;
   Opts.UseSleepSets = Por;
@@ -285,7 +274,7 @@ search::SearchResult runVmIcb(const vm::Program &Prog, unsigned Jobs,
   Opts.Limits.StopAtFirstBug = false;
   Opts.Observer = Obs;
   Opts.Resume = Resume;
-  return search::ParallelIcbSearch(Opts).run(VM);
+  return search::IcbSearch(Opts).run(VM);
 }
 
 /// Interrupt a run mid-flight, resume from the emitted snapshot, and
@@ -495,159 +484,29 @@ TEST(SessionCheckpoint, EstimatorAndSitesSurviveDiskRoundTrip) {
 }
 #endif // !ICB_NO_METRICS
 
-TEST(SessionCheckpoint, LoadsFormatVersionTwoFiles) {
-  // Bounded POR bumped the checkpoint format to v3; files written by
-  // pre-POR builds (v2: no `por` meta field, no `sleep` on work items,
-  // plain digest encoding) must keep loading with POR defaulted off.
-  rt::TestCase Test = workStealingTest({3, 4, WsqBug::PopCheckThenAct});
-  rt::ExploreResult Reference = runRtIcb(Test, 1);
-
-  SnapshotProbe Probe(/*StopAfterPolls=*/60);
-  rt::ExploreResult Cut = runRtIcb(Test, 1, &Probe);
-  ASSERT_TRUE(Cut.Interrupted);
-  ASSERT_FALSE(Probe.Resumable.empty());
-
+TEST(SessionCheckpoint, RefusesOlderFormatVersions) {
+  // Only the format this build writes loads: no checkpoint outlives the
+  // build that wrote it, so an otherwise well-formed v4 file is refused
+  // rather than defaulted.
   CheckpointData Data;
   Data.Meta.Form = "rt";
   Data.Meta.Strategy = "icb";
-  Data.Meta.Limits.MaxPreemptionBound = 2;
-  Data.Snap = Probe.Resumable.back();
-
   std::string Path = checkpointPath(testing::TempDir());
   std::string Error;
   ASSERT_TRUE(saveCheckpoint(Path, Data, &Error)) << Error;
-  std::string Text;
-  ASSERT_TRUE(readFile(Path, Text, &Error)) << Error;
-
-  // Regress the file to what a v2 writer produced: version 2 and no
-  // `por` member. (A POR-off v3 writer emits no `sleep` members and this
-  // snapshot is far below the digest-compaction threshold, so the rest of
-  // the bytes already match the v2 shape.)
-  JsonValue Doc;
-  ASSERT_TRUE(jsonParse(Text, Doc, &Error)) << Error;
-  Doc.set("icb_checkpoint", JsonValue::number(2));
-  JsonValue *Meta = nullptr;
-  for (JsonValue::Member &M : Doc.Obj)
-    if (M.first == "meta")
-      Meta = &M.second;
-  ASSERT_NE(Meta, nullptr);
-  for (size_t I = 0; I != Meta->Obj.size(); ++I)
-    if (Meta->Obj[I].first == "por") {
-      Meta->Obj.erase(Meta->Obj.begin() + I);
-      break;
-    }
-  EXPECT_EQ(Meta->find("por"), nullptr);
-  ASSERT_TRUE(atomicWriteFile(Path, jsonWrite(Doc) + "\n", &Error)) << Error;
-
   CheckpointData Loaded;
   ASSERT_TRUE(loadCheckpoint(Path, Loaded, &Error)) << Error;
-  std::remove(Path.c_str());
-  EXPECT_FALSE(Loaded.Meta.Por);
 
-  rt::ExploreResult Resumed = runRtIcb(Test, 1, nullptr, &Loaded.Snap);
-  expectIdenticalResults(Reference, Resumed);
-}
-
-/// Recursively erases every member named \p Name from \p V.
-void eraseMembersNamed(JsonValue &V, const char *Name) {
-  if (V.isObject()) {
-    for (size_t I = 0; I < V.Obj.size();) {
-      if (V.Obj[I].first == Name) {
-        V.Obj.erase(V.Obj.begin() + I);
-      } else {
-        eraseMembersNamed(V.Obj[I].second, Name);
-        ++I;
-      }
-    }
-  } else if (V.isArray()) {
-    for (JsonValue &E : V.Arr)
-      eraseMembersNamed(E, Name);
-  }
-}
-
-TEST(SessionCheckpoint, LoadsAllOlderFormatVersions) {
-  // The bound-policy seam bumped the format to v4; files written by v1,
-  // v2, and v3 builds must keep loading, with every missing field
-  // defaulting to the hard-wired behavior of its era (POR off,
-  // preemption bounding, no metrics), and must resume to results
-  // identical to an uninterrupted run.
-  rt::TestCase Test = workStealingTest({3, 4, WsqBug::PopCheckThenAct});
-  rt::ExploreResult Reference = runRtIcb(Test, 1);
-
-  SnapshotProbe Probe(/*StopAfterPolls=*/60);
-  rt::ExploreResult Cut = runRtIcb(Test, 1, &Probe);
-  ASSERT_TRUE(Cut.Interrupted);
-  ASSERT_FALSE(Probe.Resumable.empty());
-
-  CheckpointData Data;
-  Data.Meta.Form = "rt";
-  Data.Meta.Strategy = "icb";
-  Data.Meta.Limits.MaxPreemptionBound = 2;
-  Data.Snap = Probe.Resumable.back();
-
-  std::string Path = checkpointPath(testing::TempDir());
-  std::string Error;
-  ASSERT_TRUE(saveCheckpoint(Path, Data, &Error)) << Error;
   std::string Text;
   ASSERT_TRUE(readFile(Path, Text, &Error)) << Error;
-
-  for (uint64_t Version : {uint64_t(3), uint64_t(2), uint64_t(1)}) {
-    SCOPED_TRACE(Version);
-    JsonValue Doc;
-    ASSERT_TRUE(jsonParse(Text, Doc, &Error)) << Error;
-    Doc.set("icb_checkpoint", JsonValue::number(Version));
-    JsonValue *Meta = nullptr;
-    for (JsonValue::Member &M : Doc.Obj)
-      if (M.first == "meta")
-        Meta = &M.second;
-    ASSERT_NE(Meta, nullptr);
-    // v4 additions: the policy meta fields, per-item budget sets, and the
-    // phase latency histograms. The snapshot's own "bound" member (the
-    // frontier index) predates v4, so only the meta object loses the
-    // member of that name.
-    for (size_t I = 0; I < Meta->Obj.size();)
-      if (Meta->Obj[I].first == "bound" || Meta->Obj[I].first == "var_bound")
-        Meta->Obj.erase(Meta->Obj.begin() + I);
-      else
-        ++I;
-    eraseMembersNamed(Doc, "bound_threads");
-    eraseMembersNamed(Doc, "bound_vars");
-    eraseMembersNamed(Doc, "phase_hist_log2");
-    if (Version <= 2) {
-      // v3 additions: the POR meta field and per-item sleep sets.
-      for (size_t I = 0; I < Meta->Obj.size();)
-        if (Meta->Obj[I].first == "por")
-          Meta->Obj.erase(Meta->Obj.begin() + I);
-        else
-          ++I;
-      eraseMembersNamed(Doc, "sleep");
-    }
-    if (Version <= 1) {
-      // v2 additions: the metrics block and the derived MinMax mean.
-      eraseMembersNamed(Doc, "metrics");
-      eraseMembersNamed(Doc, "mean_milli");
-    }
-    ASSERT_TRUE(atomicWriteFile(Path, jsonWrite(Doc) + "\n", &Error)) << Error;
-
-    CheckpointData Loaded;
-    ASSERT_TRUE(loadCheckpoint(Path, Loaded, &Error)) << Error;
-    EXPECT_FALSE(Loaded.Meta.Por);
-    EXPECT_EQ(Loaded.Meta.Bound, "preemption");
-    EXPECT_EQ(Loaded.Meta.VarBound, 0u);
-
-    rt::ExploreResult Resumed = runRtIcb(Test, 1, nullptr, &Loaded.Snap);
-    expectIdenticalResults(Reference, Resumed);
-  }
-
-  // And forward again: a v4 file records a non-default policy in full.
-  Data.Meta.Bound = "thread";
-  Data.Meta.VarBound = 3;
-  ASSERT_TRUE(saveCheckpoint(Path, Data, &Error)) << Error;
-  CheckpointData V4;
-  ASSERT_TRUE(loadCheckpoint(Path, V4, &Error)) << Error;
+  JsonValue Doc;
+  ASSERT_TRUE(jsonParse(Text, Doc, &Error)) << Error;
+  Doc.set("icb_checkpoint", JsonValue::number(4));
+  ASSERT_TRUE(atomicWriteFile(Path, jsonWrite(Doc) + "\n", &Error)) << Error;
+  Error.clear();
+  EXPECT_FALSE(loadCheckpoint(Path, Loaded, &Error));
+  EXPECT_NE(Error.find("unsupported version"), std::string::npos) << Error;
   std::remove(Path.c_str());
-  EXPECT_EQ(V4.Meta.Bound, "thread");
-  EXPECT_EQ(V4.Meta.VarBound, 3u);
 }
 
 TEST(SessionCheckpoint, LoadRejectsCorruptFiles) {

@@ -30,10 +30,10 @@ uint64_t envU64(const char *Name, uint64_t Default) {
 
 /// Executes one lease against the adopted configuration: a fresh engine
 /// with fresh caches and a fresh metrics registry, so everything reported
-/// back is a lease-local delta. Roots leases run the sequential driver
-/// (frontier seeding is inherently serial); drain leases resume from a
-/// synthetic snapshot carrying exactly the leased items and use the
-/// joiner's local --jobs pool.
+/// back is a lease-local delta. Roots leases run on one worker (they
+/// execute nothing, and one worker hands the seeded frontier back in seed
+/// order); drain leases resume from a synthetic snapshot carrying exactly
+/// the leased items and use the joiner's local --jobs pool.
 dist::LeaseResult runLease(const session::CheckpointMeta &Meta,
                            unsigned Jobs, unsigned Shards,
                            const std::function<rt::TestCase()> &MakeRt,
