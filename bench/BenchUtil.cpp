@@ -72,13 +72,6 @@ void icb::benchutil::printJsonBlock(const std::string &Name,
               Name.c_str());
 }
 
-uint64_t icb::benchutil::scaledU64(double Value, double Scale) {
-  double Scaled = Value * Scale + 0.5;
-  if (!(Scaled > 0))
-    return 0;
-  return static_cast<uint64_t>(Scaled);
-}
-
 std::vector<rt::CoveragePoint>
 icb::benchutil::sampleCurve(const std::vector<rt::CoveragePoint> &Curve,
                             size_t MaxPoints) {
@@ -94,15 +87,6 @@ icb::benchutil::sampleCurve(const std::vector<rt::CoveragePoint> &Curve,
   }
   Sampled.back() = Curve.back();
   return Sampled;
-}
-
-std::vector<rt::CoveragePoint> icb::benchutil::toCoveragePoints(
-    const std::vector<search::CoveragePoint> &Curve) {
-  std::vector<rt::CoveragePoint> Points;
-  Points.reserve(Curve.size());
-  for (const search::CoveragePoint &P : Curve)
-    Points.push_back({P.Executions, P.States});
-  return Points;
 }
 
 namespace {

@@ -38,23 +38,13 @@ void printCsv(const std::string &Name,
 /// Prints a machine-readable JSON block (between "BEGIN JSON <name>" /
 /// "END JSON <name>" markers) to stdout, rendered through the session
 /// JSON writer so harness output and session artifacts share one format.
-/// Session JSON numbers are unsigned integers only; fractional
-/// measurements go in as scaled integers (see \ref scaledU64).
+/// Session JSON numbers are unsigned integers only.
 void printJsonBlock(const std::string &Name, const session::JsonValue &Root);
-
-/// Converts a non-negative fractional measurement to a scaled integer
-/// for session JSON (e.g. seconds -> microseconds with Scale = 1e6).
-uint64_t scaledU64(double Value, double Scale);
 
 /// Downsamples a states-vs-executions curve to at most \p MaxPoints
 /// samples (always keeping the last point).
 std::vector<rt::CoveragePoint>
 sampleCurve(const std::vector<rt::CoveragePoint> &Curve, size_t MaxPoints);
-
-/// Converts the VM-side coverage curve to the rt-side point type so the
-/// plotting helpers can be shared.
-std::vector<rt::CoveragePoint>
-toCoveragePoints(const std::vector<search::CoveragePoint> &Curve);
 
 /// One named curve for a growth figure.
 struct NamedCurve {

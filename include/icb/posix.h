@@ -24,10 +24,12 @@
  *     PTHREAD_*_INITIALIZER static initialization works unchanged.
  *
  *  2. Linker wrap: compile the unmodified source and link the module with
- *     `-Wl,--wrap,pthread_create,...` (the full flag list is exported by
- *     CMake as ICB_POSIX_WRAP_LINK_OPTIONS). src/posix/Wrap.cpp provides
- *     the __wrap_* forwarders, resolved from the icb_run executable at
- *     dlopen time.
+ *     `-Wl,--wrap,pthread_create,...`. In CMake, link the module against
+ *     the icb_posix_wrap target: it carries one --wrap flag per function
+ *     of ICB_POSIX_WRAP_FUNCTIONS as INTERFACE link options
+ *     (src/posix/CMakeLists.txt). src/posix/Wrap.cpp provides the
+ *     __wrap_* forwarders, resolved from the icb_run executable at dlopen
+ *     time.
  *
  * Semantics notes (the full table is in DESIGN.md §8):
  *  - Every call is a scheduling point of the systematic scheduler except

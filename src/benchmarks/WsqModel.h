@@ -19,8 +19,8 @@
 /// takes and lost items into assertion failures.
 ///
 /// The model form is what the parallel ICB engine explores, so this is
-/// also the workload of bench/parallel_scaling and of the determinism
-/// tests (identical results for any --jobs value). The seeded bug variants
+/// also the workload of the determinism tests in tests/parallel_test.cpp
+/// (identical results for any --jobs value). The seeded bug variants
 /// are exposed here through the builder API only — Table 2's registry rows
 /// stay exactly as the paper reports them (the runtime-form variants).
 ///

@@ -393,14 +393,24 @@ void Coordinator::reconstructCacheCounters(obs::MetricsSnapshot &Delta,
   auto Reconstruct = [&Delta](obs::Counter Hit, obs::Counter Miss,
                               const std::vector<uint64_t> &Digests,
                               std::unordered_set<uint64_t> &Global) {
-    size_t H = static_cast<size_t>(Hit), M = static_cast<size_t>(Miss);
-    uint64_t Probes = Delta.Counters[H] + Delta.Counters[M];
+    // Merged in every build: DistinctStates, the per-bound rows and
+    // checkpoints read these sets. Only the counters are metrics.
     uint64_t New = 0;
     for (uint64_t D : Digests)
       if (Global.insert(D).second)
         ++New;
+#ifndef ICB_NO_METRICS
+    size_t H = static_cast<size_t>(Hit), M = static_cast<size_t>(Miss);
+    uint64_t Probes = Delta.Counters[H] + Delta.Counters[M];
     Delta.Counters[M] = New;
     Delta.Counters[H] = Probes - New;
+#else
+    // Probe counters are compiled out to 0, here as in a local run.
+    (void)Delta;
+    (void)Hit;
+    (void)Miss;
+    (void)New;
+#endif
   };
   Reconstruct(obs::Counter::SeenHit, obs::Counter::SeenMiss,
               Res.SeenDigests, Seen);

@@ -13,8 +13,8 @@
 /// On x86-64 the clock is the invariant TSC converted through a
 /// once-calibrated multiplier: an rdtsc costs a third of a clock_gettime,
 /// and the rt executor's per-step scopes make that difference the bulk of
-/// the attached-registry overhead (bench/obs_overhead.cpp). Elsewhere it
-/// falls back to std::chrono::steady_clock.
+/// the attached-registry overhead (perfbench's obs.meter_overhead_frac).
+/// Elsewhere it falls back to std::chrono::steady_clock.
 ///
 //===----------------------------------------------------------------------===//
 

@@ -95,30 +95,6 @@ private:
   bool LimitHit = false;
 };
 
-/// Forces a recorded prefix, then runs the canonical nonpreemptive
-/// continuation. Used by replaySchedule/renderBugTrace.
-class ReplayPolicy : public SchedulePolicy {
-public:
-  explicit ReplayPolicy(std::vector<ThreadId> Prefix)
-      : Prefix(std::move(Prefix)) {}
-
-  ThreadId pick(const SchedPoint &P) override {
-    if (P.Index < Prefix.size()) {
-      ThreadId Tid = Prefix[P.Index];
-      ICB_ASSERT(std::find(P.Enabled.begin(), P.Enabled.end(), Tid) !=
-                     P.Enabled.end(),
-                 "replay divergence: recorded thread not enabled (the test "
-                 "is nondeterministic)");
-      return Tid;
-    }
-    return Fallback.pick(P);
-  }
-
-private:
-  std::vector<ThreadId> Prefix;
-  NonPreemptivePolicy Fallback;
-};
-
 /// The single metric shard of a sequential explorer (these explorers run
 /// on the calling thread), or null when no registry was supplied.
 obs::MetricShard *singleShard(const ExploreOptions &Opts) {
@@ -332,16 +308,30 @@ ExploreResult RandomExplorer::explore(const TestCase &Test) {
 // Replay helpers
 //===----------------------------------------------------------------------===//
 
+ThreadId ReplayPolicy::pick(const SchedPoint &P) {
+  ThreadId Default = P.LastEnabled ? P.Last : P.Enabled.front();
+  if (P.Index >= Sched.length())
+    return Default;
+  ThreadId Tid = Sched.entry(P.Index).Tid;
+  if (std::find(P.Enabled.begin(), P.Enabled.end(), Tid) == P.Enabled.end()) {
+    Diverged = true;
+    return AbortExecution;
+  }
+  if (Tid != Default)
+    Departures.push_back({P.Index, Tid});
+  return Tid;
+}
+
 ExecutionResult icb::rt::replaySchedule(const TestCase &Test,
                                         const trace::Schedule &Sched,
                                         Scheduler::Options ExecOpts) {
-  std::vector<ThreadId> Prefix;
-  Prefix.reserve(Sched.length());
-  for (const trace::ScheduleEntry &E : Sched.entries())
-    Prefix.push_back(E.Tid);
-  ReplayPolicy Policy(std::move(Prefix));
+  ReplayPolicy Policy(Sched);
   Scheduler S(ExecOpts);
-  return S.run(Test, Policy);
+  ExecutionResult R = S.run(Test, Policy);
+  ICB_ASSERT(!Policy.Diverged,
+             "replay divergence: recorded thread not enabled (the test is "
+             "nondeterministic)");
+  return R;
 }
 
 std::string icb::rt::renderBugTrace(const TestCase &Test, const RtBug &Bug,

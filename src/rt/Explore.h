@@ -178,8 +178,37 @@ private:
   unsigned MeanSlice;
 };
 
-/// Replays \p Sched against \p Test (nonpreemptive continuation past the
-/// end) and returns the result; used to render bug traces with step text.
+/// Replays a recorded schedule: each recorded thread in turn, then the
+/// canonical nonpreemptive continuation past the end. A recorded thread
+/// that is not enabled stops the execution and sets Diverged, because a
+/// schedule read from disk (an .icbrepro) may be tampered with or belong
+/// to another program. Departures lists every point where the schedule
+/// departs from the nonpreemptive default: the directives that
+/// session::minimizeRt shrinks.
+class ReplayPolicy final : public SchedulePolicy {
+public:
+  /// At scheduling point Index, Tid ran instead of the default.
+  struct Departure {
+    uint64_t Index = 0;
+    ThreadId Tid = 0;
+  };
+
+  explicit ReplayPolicy(const trace::Schedule &Sched) : Sched(Sched) {}
+  ThreadId pick(const SchedPoint &P) override;
+
+  std::vector<Departure> Departures;
+  /// Set when a recorded thread was not enabled; the execution stopped at
+  /// that point, after ExecutionResult::Steps steps.
+  bool Diverged = false;
+
+private:
+  const trace::Schedule &Sched;
+};
+
+/// Replays \p Sched, a schedule the search itself produced, against
+/// \p Test (nonpreemptive continuation past the end) and returns the
+/// result; used to render bug traces with step text. Such a schedule
+/// cannot diverge unless the test is nondeterministic, which asserts.
 ExecutionResult replaySchedule(const TestCase &Test,
                                const trace::Schedule &Sched,
                                Scheduler::Options ExecOpts);

@@ -13,17 +13,33 @@ using namespace icb::rt;
 
 namespace {
 
+/// Set once this thread's pool is destroyed. Trivially destructible, so it
+/// stays readable for the rest of the thread's exit: a fiber released
+/// after the pool (say, by another thread-local's destructor) bypasses it.
+thread_local bool PoolDestroyed = false;
+
 /// Pool of default-sized stacks, reused across executions. Thread-local:
 /// each worker thread (each Scheduler instance) recycles its own stacks,
 /// so parallel exploration needs no synchronization here. The pool is
-/// bounded by the maximum number of simultaneously live fibers.
+/// bounded by the maximum number of simultaneously live fibers, and frees
+/// its stacks when its thread exits.
+struct StackPool {
+  std::vector<char *> Stacks;
+  ~StackPool() {
+    for (char *Stack : Stacks)
+      delete[] Stack;
+    PoolDestroyed = true;
+  }
+};
+
 std::vector<char *> &stackPool() {
-  thread_local std::vector<char *> Pool;
-  return Pool;
+  thread_local StackPool Pool;
+  return Pool.Stacks;
 }
 
 char *acquireStack(size_t Size) {
-  if (Size == Fiber::DefaultStackSize && !stackPool().empty()) {
+  if (Size == Fiber::DefaultStackSize && !PoolDestroyed &&
+      !stackPool().empty()) {
     char *Stack = stackPool().back();
     stackPool().pop_back();
     return Stack;
@@ -32,7 +48,8 @@ char *acquireStack(size_t Size) {
 }
 
 void releaseStack(char *Stack, size_t Size) {
-  if (Size == Fiber::DefaultStackSize && stackPool().size() < 64) {
+  if (Size == Fiber::DefaultStackSize && !PoolDestroyed &&
+      stackPool().size() < 64) {
     stackPool().push_back(Stack);
     return;
   }

@@ -18,11 +18,9 @@ namespace icb::session {
 namespace {
 
 /// One departure from the canonical nonpreemptive default: at scheduling
-/// point \p Index, run \p Tid instead.
-struct Directive {
-  uint64_t Index = 0;
-  uint32_t Tid = 0;
-};
+/// point Index, run Tid instead (the runtime form records them while
+/// replaying the artifact; the VM form uses the same type).
+using Directive = rt::ReplayPolicy::Departure;
 
 template <typename Vec, typename T>
 bool contains(const Vec &V, const T &X) {
@@ -110,32 +108,6 @@ MinimizeResult finishResult(const ReproArtifact &A, unsigned Replays,
 // Runtime form
 //===----------------------------------------------------------------------===//
 
-/// Replays a recorded schedule verbatim while recording where it departs
-/// from the nonpreemptive default (nonpreemptive continuation past the
-/// end, like rt::replaySchedule).
-class ExtractPolicy : public rt::SchedulePolicy {
-public:
-  explicit ExtractPolicy(const trace::Schedule &Sched) : Sched(Sched) {}
-
-  rt::ThreadId pick(const rt::SchedPoint &P) override {
-    rt::ThreadId Def = P.LastEnabled ? P.Last : P.Enabled.front();
-    if (P.Index >= Sched.length())
-      return Def;
-    rt::ThreadId Tid = Sched.entry(P.Index).Tid;
-    if (!contains(P.Enabled, Tid)) {
-      Diverged = true;
-      return AbortExecution;
-    }
-    if (Tid != Def)
-      Dirs.push_back({P.Index, Tid});
-    return Tid;
-  }
-
-  const trace::Schedule &Sched;
-  std::vector<Directive> Dirs;
-  bool Diverged = false;
-};
-
 /// Follows the directive set, nonpreemptive default everywhere else. A
 /// directive whose thread is not enabled aborts the candidate (schedules
 /// regenerated around a removed directive may drift; such candidates
@@ -167,7 +139,7 @@ MinimizeResult minimizeRt(const ReproArtifact &A, const rt::TestCase &Test) {
   rt::Scheduler Sched(reproExecOptions(A));
   unsigned Replays = 0;
 
-  ExtractPolicy Extract(A.Found.Sched);
+  rt::ReplayPolicy Extract(A.Found.Sched);
   rt::ExecutionResult R0 = Sched.run(Test, Extract);
   ++Replays;
   Failed.Replays = Replays;
@@ -190,10 +162,10 @@ MinimizeResult minimizeRt(const ReproArtifact &A, const rt::TestCase &Test) {
     return true;
   };
 
-  size_t Before = Extract.Dirs.size();
+  size_t Before = Extract.Departures.size();
   search::Bug Best = std::move(Baseline);
   std::vector<Directive> Min =
-      ddmin(std::move(Extract.Dirs), Try, Replays, Best);
+      ddmin(std::move(Extract.Departures), Try, Replays, Best);
   return finishResult(A, Replays, Before, Min.size(), std::move(Best));
 }
 

@@ -161,8 +161,14 @@ static ReplayOutcome verdict(const ReproArtifact &A, bool BugFired,
 
 ReplayOutcome replayArtifactRt(const ReproArtifact &A,
                                const rt::TestCase &Test) {
-  rt::ExecutionResult R =
-      rt::replaySchedule(Test, A.Found.Sched, reproExecOptions(A));
+  rt::ReplayPolicy Policy(A.Found.Sched);
+  rt::Scheduler S(reproExecOptions(A));
+  rt::ExecutionResult R = S.run(Test, Policy);
+  if (Policy.Diverged)
+    return verdict(A, false, {},
+                   strFormat("step %llu: thread %u is not enabled",
+                             (unsigned long long)R.Steps,
+                             A.Found.Sched.entry(R.Steps).Tid));
   bool Fired = rt::isErrorStatus(R.Status);
   return verdict(A, Fired, Fired ? rt::bugFromResult(R) : search::Bug(), "");
 }

@@ -600,6 +600,34 @@ TEST(SessionRepro, VmArtifactReplays) {
   EXPECT_FALSE(Wrong.Detail.empty());
 }
 
+TEST(SessionRepro, RtArtifactDivergesWithoutAborting) {
+  rt::TestCase Test = workStealingTest({3, 4, WsqBug::PopCheckThenAct});
+  rt::ExploreResult R = runRtIcb(Test, 1);
+  ASSERT_TRUE(R.foundBug());
+  ReproArtifact A = rtArtifactFor(R);
+
+  // Replaying against the wrong program diverges loudly.
+  rt::TestCase Clean = workStealingTest({3, 4, WsqBug::None});
+  ReplayOutcome Wrong = replayArtifactRt(A, Clean);
+  EXPECT_FALSE(Wrong.Reproduced);
+  EXPECT_FALSE(Wrong.Detail.empty());
+
+  // A recorded thread that is not enabled at its point (thread 2 does not
+  // exist yet at the first step) is a reported divergence, not an abort,
+  // in replay and in minimization alike.
+  ReproArtifact Tampered = A;
+  Tampered.Found.Sched = trace::Schedule();
+  for (const trace::ScheduleEntry &E : A.Found.Sched.entries())
+    Tampered.Found.Sched.append(Tampered.Found.Sched.empty() ? 2 : E.Tid,
+                                E.Preemption, E.ContextSwitch);
+  ReplayOutcome Diverged = replayArtifactRt(Tampered, Test);
+  EXPECT_FALSE(Diverged.Reproduced);
+  EXPECT_FALSE(Diverged.BugFired);
+  EXPECT_EQ(Diverged.Detail.rfind("schedule diverged: step 0:", 0), 0u)
+      << Diverged.Detail;
+  EXPECT_FALSE(minimizeRt(Tampered, Test).Reproduced);
+}
+
 TEST(SessionRepro, LoadRejectsCorruptArtifacts) {
   std::string Path = testing::TempDir() + "icb_corrupt.icbrepro";
   std::string Error;

@@ -5,7 +5,9 @@ Covers the observability surface the unit tests cannot reach: the exact
 --metrics-csv column set and the final row flushed on a bug-found early
 exit, --trace=FILE Perfetto export (valid JSON, flow-id consistency),
 icb_report's estimator / per-site tables, and — when pointed at an
-ICB_NO_METRICS binary — the hard usage error for --trace=FILE.
+ICB_NO_METRICS binary — the hard usage error for --trace=FILE. Also: a
+resumed finished run re-emits the original manifest, metrics included,
+and a tampered runtime repro artifact is a replay mismatch (exit 3).
 
 Usage: cli_test.py <icb_check> <icb_report>
 """
@@ -123,6 +125,60 @@ def dist_contract(tmp):
     lockfile.close()
 
 
+def finished_resume(tmp, no_metrics):
+    """--resume of a finished run's final checkpoint re-emits the
+    uninterrupted run's manifest, metrics included."""
+    args = ["--benchmark=Work Stealing Queue", "--bug=pop-check-then-act",
+            "--keep-going", "--bound=preemption:2", "--jobs=4"]
+    ref, res = os.path.join(tmp, "ref.json"), os.path.join(tmp, "res.json")
+    ckdir = os.path.join(tmp, "finished-ckpt")
+    for out in ("--json=" + ref, "--checkpoint-dir=" + ckdir):
+        r = run(CHECK, *args, out)
+        assert r.returncode == 1, (out, r.returncode, r.stderr)
+    r = run(CHECK, "--resume=" + ckdir, "--json=" + res)
+    assert r.returncode == 1, (r.returncode, r.stderr)
+    assert "re-emitting" in r.stdout, r.stdout
+
+    def norm(path):  # As CI's bound-policies kill-and-resume step does.
+        with open(path) as f:
+            d = json.load(f)
+        d.get("config", {}).pop("resumed_from", None)
+        for rec in d.get("runs", []):
+            rec.pop("wall_ms", None)
+            rec.get("metrics", {}).pop("timing", None)
+        return d
+
+    a, b = norm(ref), norm(res)
+    assert no_metrics or "metrics" in a["runs"][0], "reference has no metrics"
+    assert a == b, "resumed manifest diverges:\n%s\n%s" % (a, b)
+
+
+def tampered_repro(tmp):
+    """A runtime artifact whose schedule names a thread that is not enabled
+    is a replay mismatch (exit 3), not an abort."""
+    repros = os.path.join(tmp, "repros")
+    r = run(CHECK, "--benchmark=Work Stealing Queue",
+            "--bug=pop-check-then-act", "--repro-dir=" + repros)
+    assert r.returncode == 1, (r.returncode, r.stderr)
+    [name] = os.listdir(repros)
+    path = os.path.join(repros, name)
+    r = run(CHECK, "--replay=" + path)
+    assert r.returncode == 0, (r.returncode, r.stdout, r.stderr)
+
+    with open(path) as f:
+        art = json.load(f)
+    assert art["form"] == "rt", art
+    for key in ("schedule", "annotated_schedule"):
+        steps = art["found"][key].split(" ")
+        steps[0] = "2"  # Only the main thread exists at the first step.
+        art["found"][key] = " ".join(steps)
+    with open(path, "w") as f:
+        json.dump(art, f)
+    r = run(CHECK, "--replay=" + path)
+    assert r.returncode == 3, (r.returncode, r.stdout, r.stderr)
+    assert "schedule diverged" in r.stdout, r.stdout
+
+
 def main():
     tmp = tempfile.mkdtemp(prefix="icb-cli-")
     csv = os.path.join(tmp, "metrics.csv")
@@ -145,6 +201,9 @@ def main():
 
     # The distributed checking service's CLI contract.
     dist_contract(tmp)
+
+    finished_resume(tmp, no_metrics)
+    tampered_repro(tmp)
 
     # A bug-found early exit must still flush the final metrics-csv row.
     extra = [] if no_metrics else ["--trace=" + trace, "--json=" + manifest]

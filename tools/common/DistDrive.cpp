@@ -125,14 +125,11 @@ int icb::tool::runServe(const std::string &Bind, const RunConfig &Config,
   if (Sess.failed())
     return 4;
 
-  if (const search::EngineSnapshot *Done = Sess.finishedResume()) {
+  if (Sess.finishedResume()) {
     std::printf("exploring %s'%s' with icb (distributed)...\n",
                 RtForm ? "" : "model ", DisplayName.c_str());
-    std::printf("  checkpoint describes a finished run; re-emitting its "
-                "results\n");
     search::SearchResult R;
-    R.Stats = Done->Stats;
-    R.Bugs = Done->Bugs;
+    Sess.reemitFinished(R);
     printResultSummary(R, Config, RtForm);
     int Rc = Sess.finish(R);
     return std::max(Rc, R.foundBug() ? 1 : 0);

@@ -198,6 +198,18 @@ uint64_t RunSession::wallMillis() const {
                  .count());
 }
 
+bool RunSession::reemitFinished(search::SearchResult &R) {
+  if (!finishedResume())
+    return false;
+  std::printf("  checkpoint describes a finished run; re-emitting its "
+              "results\n");
+  const search::EngineSnapshot &Done = S.Resume->Snap;
+  R.Stats = Done.Stats;
+  R.Bugs = Done.Bugs;
+  Metrics.restore(Done.Metrics);
+  return true;
+}
+
 int RunSession::finish(const search::SearchResult &R) {
   int Rc = 0;
   if (Meter || Csv) {
@@ -736,14 +748,8 @@ int icb::tool::runRt(const rt::TestCase &Test, const RunConfig &Config,
                 Explorer->name().c_str());
 
   rt::ExploreResult R;
-  if (const search::EngineSnapshot *Done = Sess.finishedResume()) {
-    std::printf("  checkpoint describes a finished run; re-emitting its "
-                "results\n");
-    R.Stats = Done->Stats;
-    R.Bugs = Done->Bugs;
-  } else {
+  if (!Sess.reemitFinished(R))
     R = Explorer->explore(Test);
-  }
   printResultSummary(R, Config, /*RtForm=*/true);
   if (Config.Trace && R.foundBug())
     std::printf("\n%s",
@@ -799,14 +805,8 @@ int icb::tool::runVm(const vm::Program &Prog, const RunConfig &Config,
                 Config.Strategy.c_str());
 
   search::SearchResult R;
-  if (const search::EngineSnapshot *Done = Sess.finishedResume()) {
-    std::printf("  checkpoint describes a finished run; re-emitting its "
-                "results\n");
-    R.Stats = Done->Stats;
-    R.Bugs = Done->Bugs;
-  } else {
+  if (!Sess.reemitFinished(R))
     R = search::checkProgram(Prog, Opts);
-  }
   printResultSummary(R, Config, /*RtForm=*/false,
                      [&](const search::Bug &Bug) {
                        if (Config.Trace && !Bug.Schedule.empty()) {

@@ -146,11 +146,14 @@ public:
   const search::EngineSnapshot *resumeSnapshot() const {
     return (S.Resume && !S.Resume->Snap.Final) ? &S.Resume->Snap : nullptr;
   }
-  /// Non-null when --resume points at a finished run's final checkpoint:
-  /// its results are re-emitted without searching again.
-  const search::EngineSnapshot *finishedResume() const {
-    return (S.Resume && S.Resume->Snap.Final) ? &S.Resume->Snap : nullptr;
-  }
+  /// True when --resume points at a finished run's final checkpoint: its
+  /// results are re-emitted without searching again (reemitFinished()).
+  bool finishedResume() const { return S.Resume && S.Resume->Snap.Final; }
+  /// When finishedResume(), fills \p R with the checkpoint's stats and
+  /// bugs, restores its metrics into this run's registry (so finish()
+  /// writes them to the manifest), and returns true; otherwise leaves
+  /// \p R alone and returns false.
+  bool reemitFinished(search::SearchResult &R);
 
   uint64_t wallMillis() const;
 
