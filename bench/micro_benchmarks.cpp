@@ -7,7 +7,8 @@
 /// \file
 /// google-benchmark microbenchmarks for the hot substrate paths: the model
 /// VM's step loop, state hashing, fiber context switching, full controlled
-/// executions, the race detectors, and happens-before fingerprinting.
+/// executions, the happens-before tracker (fingerprint and race check) and
+/// the Goldilocks detector.
 /// These set expectations for how many executions per second the
 /// experiment harnesses can explore.
 ///
@@ -15,11 +16,10 @@
 
 #include "benchmarks/WorkStealingQueue.h"
 #include "race/Goldilocks.h"
-#include "race/VcRaceDetector.h"
+#include "race/HbTracker.h"
 #include "rt/Explore.h"
 #include "rt/Fiber.h"
 #include "testutil/TestPrograms.h"
-#include "trace/Fingerprint.h"
 #include "vm/Interp.h"
 #include <benchmark/benchmark.h>
 
@@ -94,17 +94,22 @@ void BM_ControlledExecution(benchmark::State &State) {
 }
 BENCHMARK(BM_ControlledExecution);
 
-void BM_VcRaceDetector(benchmark::State &State) {
+void BM_HbTracker(benchmark::State &State) {
+  // One execution as the scheduler feeds it: clocks 32 threads wide (its
+  // thread limit), 64 sync steps and 64 race-checked data steps, each
+  // hashed into the digest, and the step digests handed over at the end.
+  race::HbTracker Hb(32);
   for (auto _ : State) {
-    race::VcRaceDetector D(8);
+    Hb.startExecution(/*CheckRaces=*/true, /*MS=*/nullptr);
     for (unsigned I = 0; I != 64; ++I) {
-      D.onSyncOp(I % 4, 200 + I % 3);
-      benchmark::DoNotOptimize(D.onDataAccess(I % 4, 100 + I % 5, I % 2));
+      Hb.syncStep(I % 4, 200 + I % 3, static_cast<uint16_t>(I % 5));
+      benchmark::DoNotOptimize(Hb.dataStep(I % 4, 100 + I % 5, I % 2));
     }
+    benchmark::DoNotOptimize(Hb.takeStepDigests());
   }
   State.SetItemsProcessed(State.iterations() * 128);
 }
-BENCHMARK(BM_VcRaceDetector);
+BENCHMARK(BM_HbTracker);
 
 void BM_GoldilocksDetector(benchmark::State &State) {
   for (auto _ : State) {
@@ -117,17 +122,6 @@ void BM_GoldilocksDetector(benchmark::State &State) {
   State.SetItemsProcessed(State.iterations() * 128);
 }
 BENCHMARK(BM_GoldilocksDetector);
-
-void BM_Fingerprint(benchmark::State &State) {
-  for (auto _ : State) {
-    trace::FingerprintBuilder F(8);
-    for (unsigned I = 0; I != 128; ++I)
-      F.addStep(I % 4, 100 + I % 7, I % 3 != 0, static_cast<uint16_t>(I % 5));
-    benchmark::DoNotOptimize(F.digest());
-  }
-  State.SetItemsProcessed(State.iterations() * 128);
-}
-BENCHMARK(BM_Fingerprint);
 
 void BM_IcbExploreWsq(benchmark::State &State) {
   // Executions explored per second by the stateless ICB explorer.

@@ -17,8 +17,9 @@
 /// m, any lockset containing m gains t (t acquired m's knowledge) and any
 /// lockset containing t gains m (t released its knowledge into m).
 ///
-/// This detector computes exactly the happens-before races that the
-/// vector-clock detector computes; the test suite cross-checks them on
+/// It decides whether an access races exactly as the vector-clock check of
+/// race/HbTracker.h does; when an access races with several earlier ones,
+/// the two may name different ones. The test suite cross-checks them on
 /// randomized executions.
 ///
 //===----------------------------------------------------------------------===//
@@ -27,6 +28,7 @@
 #define ICB_RACE_GOLDILOCKS_H
 
 #include "race/RaceDetector.h"
+#include <optional>
 #include <unordered_map>
 #include <unordered_set>
 #include <vector>
@@ -34,14 +36,20 @@
 namespace icb::race {
 
 /// Lockset-propagation happens-before race detector.
-class GoldilocksDetector final : public RaceDetector {
+class GoldilocksDetector {
 public:
   explicit GoldilocksDetector(unsigned NumThreads);
 
-  void onSyncOp(uint32_t Tid, uint64_t VarCode) override;
+  /// Observes an operation on a synchronization variable by \p Tid. All
+  /// operations on the same sync variable are mutually dependent (the
+  /// paper's dependence relation), so each op both acquires and releases
+  /// the variable's causal knowledge.
+  void onSyncOp(uint32_t Tid, uint64_t VarCode);
+
+  /// Observes a data-variable access; returns a report if it races with a
+  /// previous access.
   std::optional<RaceReport> onDataAccess(uint32_t Tid, uint64_t VarCode,
-                                         bool IsWrite) override;
-  const char *name() const override { return "goldilocks"; }
+                                         bool IsWrite);
 
 private:
   /// Synchronization elements are threads or sync variables; encode threads

@@ -1,4 +1,4 @@
-//===- race/RaceDetector.h - Data-race detection interfaces -----*- C++ -*-===//
+//===- race/RaceDetector.h - Data-race reports ------------------*- C++ -*-===//
 //
 // Part of the ICB project (PLDI'07 reproduction).
 //
@@ -8,17 +8,19 @@
 /// Section 3.1: CHESS "introduces context switches only at accesses to
 /// synchronization variables and verifies that accesses to data variables
 /// are ordered by accesses to synchronization variables in each explored
-/// execution". These interfaces implement that verification. Two
-/// interchangeable detectors are provided:
+/// execution". Two detectors perform that verification and report what
+/// they find as a RaceReport:
 ///
-///   * `VcRaceDetector` — FastTrack-flavoured vector clocks (the default).
-///   * `GoldilocksDetector` — lockset-propagation in the style of the
-///     Goldilocks algorithm [Elmas, Qadeer, Tasiran 2006], which the CHESS
-///     implementation in the paper used.
+///   * `HbTracker` (race/HbTracker.h) — FastTrack-flavoured checks over the
+///     vector clocks that also digest each execution (the default).
+///   * `GoldilocksDetector` (race/Goldilocks.h) — lockset propagation in the
+///     style of the Goldilocks algorithm [Elmas, Qadeer, Tasiran 2006],
+///     which the CHESS implementation in the paper used. It shares no state
+///     with the clocks and serves as the independent cross-check.
 ///
 /// Both observe the same event stream (one sync-op or data-access record
-/// per step) and must report identical races; the test suite cross-checks
-/// them on randomized executions.
+/// per step) and must agree on whether an execution races; the test suite
+/// cross-checks them on randomized executions.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -26,7 +28,6 @@
 #define ICB_RACE_RACEDETECTOR_H
 
 #include <cstdint>
-#include <optional>
 #include <string>
 
 namespace icb::race {
@@ -41,28 +42,6 @@ struct RaceReport {
   bool SecondWasWrite = false;
 
   std::string str() const;
-};
-
-/// Abstract per-execution race detector. A fresh detector observes one
-/// execution from its first step; the scheduler feeds it every step.
-class RaceDetector {
-public:
-  virtual ~RaceDetector();
-
-  /// Observes an operation on a synchronization variable by \p Tid. All
-  /// operations on the same sync variable are mutually dependent (the
-  /// paper's dependence relation), so each op both acquires and releases
-  /// the variable's causal knowledge.
-  virtual void onSyncOp(uint32_t Tid, uint64_t VarCode) = 0;
-
-  /// Observes a data-variable access; returns a report if it races with a
-  /// previous access.
-  virtual std::optional<RaceReport> onDataAccess(uint32_t Tid,
-                                                 uint64_t VarCode,
-                                                 bool IsWrite) = 0;
-
-  /// Human-readable detector name for reports and benches.
-  virtual const char *name() const = 0;
 };
 
 } // namespace icb::race

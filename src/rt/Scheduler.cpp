@@ -6,8 +6,6 @@
 
 #include "rt/Scheduler.h"
 #include "obs/PhaseTimer.h"
-#include "race/Goldilocks.h"
-#include "race/VcRaceDetector.h"
 #include "rt/SyncObject.h"
 #include "support/Debug.h"
 #include "support/Format.h"
@@ -164,8 +162,21 @@ std::vector<ThreadId> Scheduler::enabledThreads() const {
   return Enabled;
 }
 
-void Scheduler::noteVisitedState() {
-  Result.StepFingerprints.push_back(Fingerprint->digest());
+void Scheduler::syncStep(ThreadId Tid, uint64_t VarCode, uint16_t OpCode) {
+  Hb.syncStep(Tid, VarCode, OpCode);
+  if (Goldilocks) {
+    obs::ScopedPhase RaceTimer(MShard, obs::Phase::RaceDetect);
+    Goldilocks->onSyncOp(Tid, VarCode);
+  }
+}
+
+std::optional<race::RaceReport>
+Scheduler::dataStep(ThreadId Tid, uint64_t VarCode, bool IsWrite) {
+  std::optional<race::RaceReport> Race = Hb.dataStep(Tid, VarCode, IsWrite);
+  if (!Goldilocks)
+    return Race;
+  obs::ScopedPhase RaceTimer(MShard, obs::Phase::RaceDetect);
+  return Goldilocks->onDataAccess(Tid, VarCode, IsWrite);
 }
 
 void Scheduler::recordStep(ThreadId Tid, bool Switch, bool Preempt) {
@@ -187,53 +198,24 @@ void Scheduler::recordStep(ThreadId Tid, bool Switch, bool Preempt) {
     // with the creation record the parent emitted (Appendix A: the first
     // operation of t accesses e_t). A creation point itself (VarCode 0)
     // records nothing.
-    if (T.Op.VarCode != 0) {
-      if (Detector) {
-        obs::ScopedPhase RaceTimer(MShard, obs::Phase::RaceDetect);
-        Detector->onSyncOp(Tid, T.Op.VarCode);
-      }
-      obs::ScopedPhase HashTimer(MShard, obs::Phase::Hash);
-      Fingerprint->addStep(Tid, T.Op.VarCode, /*IsSync=*/true,
-                           static_cast<uint16_t>(T.Op.Kind));
-      noteVisitedState();
-    }
+    if (T.Op.VarCode != 0)
+      syncStep(Tid, T.Op.VarCode, static_cast<uint16_t>(T.Op.Kind));
     break;
   case OpKind::Yield:
     break; // No shared object touched.
-  case OpKind::DataAccess: {
+  case OpKind::DataAccess:
     // A data access promoted to a scheduling point by EveryAccess mode
     // still has data-variable happens-before semantics.
-    {
-      obs::ScopedPhase HashTimer(MShard, obs::Phase::Hash);
-      Fingerprint->addStep(Tid, T.Op.VarCode, /*IsSync=*/false,
-                           static_cast<uint16_t>(T.Op.IsWrite ? 1 : 0));
-      noteVisitedState();
-    }
-    if (Detector) {
-      obs::ScopedPhase RaceTimer(MShard, obs::Phase::RaceDetect);
-      if (auto Race = Detector->onDataAccess(Tid, T.Op.VarCode, T.Op.IsWrite);
-          Race && Opts.StopOnRace) {
-        Result.Status = RunStatus::DataRace;
-        Result.Message = Race->str();
-        ExecutionOver = true;
-      } else if (Race && Result.Message.empty()) {
-        Result.Message = Race->str();
-      }
+    if (auto Race = dataStep(Tid, T.Op.VarCode, T.Op.IsWrite)) {
+      Result.Status = RunStatus::DataRace;
+      Result.Message = Race->str();
+      ExecutionOver = true;
     }
     break;
-  }
-  default: {
+  default:
     // Every other kind operates on a synchronization variable.
-    if (Detector) {
-      obs::ScopedPhase RaceTimer(MShard, obs::Phase::RaceDetect);
-      Detector->onSyncOp(Tid, T.Op.VarCode);
-    }
-    obs::ScopedPhase HashTimer(MShard, obs::Phase::Hash);
-    Fingerprint->addStep(Tid, T.Op.VarCode, /*IsSync=*/true,
-                         static_cast<uint16_t>(T.Op.Kind));
-    noteVisitedState();
+    syncStep(Tid, T.Op.VarCode, static_cast<uint16_t>(T.Op.Kind));
     break;
-  }
   }
 }
 
@@ -309,14 +291,7 @@ void Scheduler::scheduleLoop(SchedulePolicy &Policy) {
       T.Done = true;
       // The thread's final action signals its termination event so that
       // joiners happen-after everything the thread did.
-      if (Detector) {
-        obs::ScopedPhase RaceTimer(MShard, obs::Phase::RaceDetect);
-        Detector->onSyncOp(Tid, threadEndCode(Tid));
-      }
-      obs::ScopedPhase HashTimer(MShard, obs::Phase::Hash);
-      Fingerprint->addStep(Tid, threadEndCode(Tid), /*IsSync=*/true,
-                           /*OpCode=*/0xff);
-      noteVisitedState();
+      syncStep(Tid, threadEndCode(Tid), /*OpCode=*/0xff);
     }
   }
 }
@@ -334,18 +309,10 @@ ExecutionResult Scheduler::run(const TestCase &Test, SchedulePolicy &Policy) {
   Running = InvalidThread;
   LastScheduled = InvalidThread;
 
-  switch (Opts.Detector) {
-  case DetectorKind::VectorClock:
-    Detector = std::make_unique<race::VcRaceDetector>(MaxThreads);
-    break;
-  case DetectorKind::Goldilocks:
-    Detector = std::make_unique<race::GoldilocksDetector>(MaxThreads);
-    break;
-  case DetectorKind::None:
-    Detector = nullptr;
-    break;
-  }
-  Fingerprint = std::make_unique<trace::FingerprintBuilder>(MaxThreads);
+  Hb.startExecution(Opts.Detector == DetectorKind::VectorClock, MShard);
+  Goldilocks.reset();
+  if (Opts.Detector == DetectorKind::Goldilocks)
+    Goldilocks.emplace(MaxThreads);
 
   auto Main = std::make_unique<ThreadRecord>();
   Main->Id = 0;
@@ -359,7 +326,8 @@ ExecutionResult Scheduler::run(const TestCase &Test, SchedulePolicy &Policy) {
 
   scheduleLoop(Policy);
 
-  Result.Fingerprint = Fingerprint->digest();
+  Result.Fingerprint = Hb.digest();
+  Result.StepFingerprints = Hb.takeStepDigests();
   Result.ThreadsUsed = static_cast<unsigned>(Threads.size());
   teardown();
   CurrentScheduler = nullptr;
@@ -400,23 +368,11 @@ void Scheduler::schedulingPoint(PendingOp Op) {
 void Scheduler::dataAccess(uint64_t VarCode, bool IsWrite, const char *What) {
   ICB_ASSERT(Running != InvalidThread,
              "data access outside a controlled execution");
-  {
-    obs::ScopedPhase HashTimer(MShard, obs::Phase::Hash);
-    Fingerprint->addStep(Running, VarCode, /*IsSync=*/false,
-                         static_cast<uint16_t>(IsWrite ? 1 : 0));
-    noteVisitedState();
-  }
-  if (!Detector)
-    return;
-  obs::ScopedPhase RaceTimer(MShard, obs::Phase::RaceDetect);
-  if (auto Race = Detector->onDataAccess(Running, VarCode, IsWrite)) {
+  if (auto Race = dataStep(Running, VarCode, IsWrite)) {
     std::string Msg = Race->str();
     if (What && What[0])
       Msg += strFormat(" (%s)", What);
-    if (Opts.StopOnRace)
-      failExecution(RunStatus::DataRace, Msg);
-    if (Result.Message.empty())
-      Result.Message = Msg;
+    failExecution(RunStatus::DataRace, std::move(Msg));
   }
 }
 
@@ -470,16 +426,7 @@ ThreadId Scheduler::spawnThread(std::function<void()> Fn, std::string Name) {
   Record->Fib = std::make_unique<Fiber>(std::move(Fn));
   Threads.push_back(std::move(Record));
 
-  if (Detector) {
-    obs::ScopedPhase RaceTimer(MShard, obs::Phase::RaceDetect);
-    Detector->onSyncOp(Running, threadEndCode(Child));
-  }
-  {
-    obs::ScopedPhase HashTimer(MShard, obs::Phase::Hash);
-    Fingerprint->addStep(Running, threadEndCode(Child), /*IsSync=*/true,
-                         /*OpCode=*/0xfe);
-    noteVisitedState();
-  }
+  syncStep(Running, threadEndCode(Child), /*OpCode=*/0xfe);
   return Child;
 }
 

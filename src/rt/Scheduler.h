@@ -20,9 +20,10 @@
 /// with EveryAccess mode available for the ablation experiment.
 ///
 /// The scheduler also maintains, per execution: the annotated schedule
-/// (preempting vs nonpreempting switches, Appendix A), the happens-before
-/// fingerprint (the stateless coverage metric of Section 4.3), the race
-/// detector, and the managed-heap registry for use-after-free detection.
+/// (preempting vs nonpreempting switches, Appendix A), one happens-before
+/// tracker whose clocks give both the fingerprint (the stateless coverage
+/// metric of Section 4.3) and the race check, and the managed-heap
+/// registry for use-after-free detection.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -31,14 +32,15 @@
 
 #include "obs/Metrics.h"
 #include "race/DynamicPartition.h"
-#include "race/RaceDetector.h"
+#include "race/Goldilocks.h"
+#include "race/HbTracker.h"
 #include "rt/ExecutionResult.h"
 #include "rt/Fiber.h"
 #include "rt/Ops.h"
 #include "rt/SchedulePolicy.h"
-#include "trace/Fingerprint.h"
 #include <functional>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -76,10 +78,6 @@ public:
     uint64_t MaxSteps = 1u << 20;
     /// Record human-readable per-step text (costly; for trace printing).
     bool CollectStepText = false;
-    /// Treat a detected data race as an execution-ending error. When
-    /// false the first race is recorded in the result message but the
-    /// execution continues (used by the promotion workflow).
-    bool StopOnRace = true;
     /// Data variables promoted to synchronization variables (owned by the
     /// caller; persists across executions). May be null.
     race::DynamicPartition *Partition = nullptr;
@@ -172,12 +170,16 @@ private:
   std::vector<ThreadId> enabledThreads() const;
   /// Runs the scheduling loop to completion; fills Result.
   void scheduleLoop(SchedulePolicy &Policy);
-  /// Records the step about to run for thread \p Tid (schedule entry, HB
-  /// fingerprint, race detector).
+  /// Records the step about to run for thread \p Tid (schedule entry,
+  /// happens-before tracker, race check).
   void recordStep(ThreadId Tid, bool Switch, bool Preempt);
-  /// Appends the current fingerprint digest to the visited-state
-  /// trajectory (called after every fingerprint-changing event).
-  void noteVisitedState();
+  /// Feeds \p Tid's operation \p OpCode on sync variable \p VarCode to the
+  /// tracker and, when selected, to Goldilocks.
+  void syncStep(ThreadId Tid, uint64_t VarCode, uint16_t OpCode);
+  /// Feeds a data access to the tracker and, when selected, to Goldilocks;
+  /// returns the race the selected detector reports.
+  std::optional<race::RaceReport> dataStep(ThreadId Tid, uint64_t VarCode,
+                                           bool IsWrite);
   void teardown();
 
   Options Opts;
@@ -188,8 +190,11 @@ private:
   ThreadId LastScheduled = InvalidThread;
   bool LastYielded = false;
 
-  std::unique_ptr<race::RaceDetector> Detector;
-  std::unique_ptr<trace::FingerprintBuilder> Fingerprint;
+  /// The execution's happens-before relation: the fingerprint after every
+  /// step, and the race check under DetectorKind::VectorClock.
+  race::HbTracker Hb{MaxThreads};
+  /// The lockset cross-check, under DetectorKind::Goldilocks.
+  std::optional<race::GoldilocksDetector> Goldilocks;
 
   struct ManagedSlot {
     void *Mem = nullptr;

@@ -8,13 +8,15 @@
 /// Unit-tests the two race detectors directly on hand-built event streams,
 /// then cross-checks them on thousands of randomized executions: Section
 /// 3.1's soundness rests on race detection being correct, so the
-/// vector-clock and Goldilocks-style detectors must agree exactly.
+/// happens-before tracker's vector-clock check and the Goldilocks-style
+/// detector must agree on every access. Also tests the tracker's digest,
+/// the happens-before fingerprint of Section 4.3.
 ///
 //===----------------------------------------------------------------------===//
 
 #include "race/DynamicPartition.h"
 #include "race/Goldilocks.h"
-#include "race/VcRaceDetector.h"
+#include "race/HbTracker.h"
 #include "support/Prng.h"
 #include <gtest/gtest.h>
 #include <memory>
@@ -29,12 +31,31 @@ constexpr uint64_t VarY = 101;
 constexpr uint64_t LockM = 200;
 constexpr uint64_t LockN = 201;
 
+/// The tracker's race check behind the event interface Goldilocks has, so
+/// the typed tests and the cross-check drive both the same way.
+class TrackerDetector {
+public:
+  explicit TrackerDetector(unsigned NumThreads) : Hb(NumThreads) {}
+
+  void onSyncOp(uint32_t Tid, uint64_t VarCode) {
+    Hb.syncStep(Tid, VarCode, /*OpCode=*/0);
+  }
+
+  std::optional<RaceReport> onDataAccess(uint32_t Tid, uint64_t VarCode,
+                                         bool IsWrite) {
+    return Hb.dataStep(Tid, VarCode, IsWrite);
+  }
+
+private:
+  HbTracker Hb;
+};
+
 template <typename DetectorT> class RaceDetectorTest : public ::testing::Test {
 protected:
   DetectorT Detector{4};
 };
 
-using DetectorTypes = ::testing::Types<VcRaceDetector, GoldilocksDetector>;
+using DetectorTypes = ::testing::Types<TrackerDetector, GoldilocksDetector>;
 
 TYPED_TEST_SUITE(RaceDetectorTest, DetectorTypes, );
 
@@ -160,7 +181,7 @@ TEST(DetectorCrossCheck, AgreeOnThousandsOfRandomTraces) {
   unsigned Disagreements = 0;
   for (unsigned Iter = 0; Iter != 2000; ++Iter) {
     std::vector<RandomEvent> Trace = randomTrace(Rng, 40);
-    VcRaceDetector Vc(4);
+    TrackerDetector Vc(4);
     GoldilocksDetector Gl(4);
     for (const RandomEvent &E : Trace) {
       if (E.IsSync) {
@@ -176,12 +197,68 @@ TEST(DetectorCrossCheck, AgreeOnThousandsOfRandomTraces) {
       }
       // Once a race is found on a variable the detectors may diverge in
       // their bookkeeping; stop this trace at the first race, like the
-      // runtime does (StopOnRace).
+      // runtime does (a race ends the execution).
       if (RVc.has_value())
         break;
     }
   }
   EXPECT_EQ(Disagreements, 0u);
+}
+
+//===----------------------------------------------------------------------===//
+// The tracker's digest: the happens-before fingerprint.
+//===----------------------------------------------------------------------===//
+
+TEST(FingerprintTest, InterleavingInvariance) {
+  // Two threads touching different sync vars: both orders equivalent.
+  HbTracker F1(2), F2(2);
+  F1.syncStep(0, 10, 1);
+  F1.syncStep(1, 20, 1);
+  F2.syncStep(1, 20, 1);
+  F2.syncStep(0, 10, 1);
+  EXPECT_EQ(F1.digest(), F2.digest());
+}
+
+TEST(FingerprintTest, ConflictOrderMatters) {
+  // Same sync var: the access order is part of the happens-before.
+  HbTracker F1(2), F2(2);
+  F1.syncStep(0, 10, 1);
+  F1.syncStep(1, 10, 1);
+  F2.syncStep(1, 10, 1);
+  F2.syncStep(0, 10, 1);
+  EXPECT_NE(F1.digest(), F2.digest());
+}
+
+TEST(FingerprintTest, DataStepsOrderedOnlyByThread) {
+  // Data steps on the same variable by different threads do not order
+  // each other; swapping them keeps the digest.
+  HbTracker F1(2), F2(2);
+  F1.dataStep(0, 10, /*IsWrite=*/false);
+  F1.dataStep(1, 10, /*IsWrite=*/false);
+  F2.dataStep(1, 10, /*IsWrite=*/false);
+  F2.dataStep(0, 10, /*IsWrite=*/false);
+  EXPECT_EQ(F1.digest(), F2.digest());
+}
+
+TEST(FingerprintTest, SyncCreatesCrossThreadOrder) {
+  // t0: var A; sync M. t1: sync M; var A. Reordering the sync ops changes
+  // the partial order and hence the digest.
+  HbTracker F1(2), F2(2);
+  F1.syncStep(0, 10, 1); // t0 syncs M first.
+  F1.syncStep(1, 10, 1);
+  F1.syncStep(1, 99, 2);
+  F2.syncStep(1, 10, 1); // t1 syncs M first.
+  F2.syncStep(1, 99, 2);
+  F2.syncStep(0, 10, 1);
+  EXPECT_NE(F1.digest(), F2.digest());
+}
+
+TEST(FingerprintTest, StepMultiplicityCounts) {
+  HbTracker F1(1), F2(1);
+  F1.syncStep(0, 10, 1);
+  F2.syncStep(0, 10, 1);
+  F2.syncStep(0, 10, 1);
+  EXPECT_NE(F1.digest(), F2.digest());
 }
 
 TEST(DynamicPartitionTest, ClassifiesAndPromotes) {

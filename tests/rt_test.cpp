@@ -11,6 +11,7 @@
 ///
 //===----------------------------------------------------------------------===//
 
+#include "benchmarks/Registry.h"
 #include "rt/Atomic.h"
 #include "rt/Explore.h"
 #include "rt/Managed.h"
@@ -18,6 +19,7 @@
 #include "rt/SharedVar.h"
 #include "rt/Sync.h"
 #include "rt/Thread.h"
+#include "support/Hashing.h"
 #include <gtest/gtest.h>
 
 using namespace icb;
@@ -690,6 +692,72 @@ TEST(Fingerprints, ConflictingExecutionsDiffer) {
   ASSERT_TRUE(R.Stats.Completed);
   // The two write orders are inequivalent.
   EXPECT_GE(R.Stats.DistinctTerminalStates, 2u);
+}
+
+TEST(Fingerprints, PinnedDigestsAndRaceText) {
+  // The digests are the state identity that checkpoints, repros and dist
+  // digest sets carry, so their values, not just their equalities, must
+  // survive any rework of the clocks behind them. Each row is one
+  // execution of a registry runtime test: the nonpreemptive one of a
+  // default test, or the first race the ICB search finds in a bug variant,
+  // whose row also pins the digest the racing step records before the
+  // execution ends.
+  struct Pin {
+    const char *Benchmark;
+    const char *Bug; ///< Null for the default test.
+    SchedPointMode Mode;
+    uint64_t Fingerprint;
+    size_t Steps;
+    uint64_t TrajectoryHash; ///< Order-sensitive hash of StepFingerprints.
+  };
+  const std::string RaceText = "data race on variable 4294967306: write by "
+                               "thread 4 races with read by thread 3 "
+                               "(itemsWritten)";
+  const Pin Pins[] = {
+      {"Dryad Channels", nullptr, SchedPointMode::SyncOnly,
+       0x2881785b9a6ae7a5ULL, 136, 0x912f6254b5b120d5ULL},
+      {"APE", nullptr, SchedPointMode::SyncOnly, 0x211b7ab90a3a0cdbULL, 71,
+       0x0d3ff48b69aedbd7ULL},
+      {"Work Stealing Queue", nullptr, SchedPointMode::EveryAccess,
+       0xa86a4b78b75f806eULL, 78, 0xc144195781378675ULL},
+      {"Dryad Channels", "stats-race", SchedPointMode::SyncOnly,
+       0xf6d28d7cd9e88e47ULL, 41, 0xaa65394287b956f1ULL},
+  };
+  for (const Pin &P : Pins) {
+    SCOPED_TRACE(std::string(P.Benchmark) + " " + (P.Bug ? P.Bug : ""));
+    const bench::BenchmarkEntry *Entry = bench::findBenchmark(P.Benchmark);
+    ASSERT_NE(Entry, nullptr);
+    TestCase Test;
+    if (!P.Bug) {
+      Test = Entry->MakeDefaultRt();
+    } else {
+      for (const bench::BugVariant &Bug : Entry->Bugs)
+        if (Bug.Label == P.Bug)
+          Test = Bug.MakeRt();
+    }
+    ASSERT_TRUE(static_cast<bool>(Test.Body));
+    Scheduler::Options Opts;
+    Opts.Mode = P.Mode;
+    trace::Schedule Sched;
+    if (P.Bug) {
+      IcbExplorer Icb(defaultOpts(100000, /*StopAtFirst=*/true));
+      ExploreResult Found = Icb.explore(Test);
+      ASSERT_TRUE(Found.foundBug());
+      EXPECT_EQ(Found.Bugs[0].Message, RaceText);
+      Sched = Found.Bugs[0].Sched;
+    }
+    ExecutionResult R = replaySchedule(Test, Sched, Opts);
+    StableHasher Trajectory;
+    for (uint64_t Digest : R.StepFingerprints)
+      Trajectory.add(Digest);
+    EXPECT_EQ(R.Status, P.Bug ? RunStatus::DataRace : RunStatus::Terminated);
+    if (P.Bug) {
+      EXPECT_EQ(R.Message, RaceText);
+    }
+    EXPECT_EQ(R.Fingerprint, P.Fingerprint);
+    EXPECT_EQ(R.StepFingerprints.size(), P.Steps);
+    EXPECT_EQ(Trajectory.digest(), P.TrajectoryHash);
+  }
 }
 
 } // namespace

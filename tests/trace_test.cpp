@@ -4,7 +4,6 @@
 //
 //===----------------------------------------------------------------------===//
 
-#include "trace/Fingerprint.h"
 #include "trace/Schedule.h"
 #include "trace/TraceWriter.h"
 #include "trace/VectorClock.h"
@@ -53,58 +52,6 @@ TEST(VectorClockTest, HashAndStr) {
   A.tick(1);
   EXPECT_NE(A.hash(), B.hash());
   EXPECT_EQ(A.str(), "<0,1,0>");
-}
-
-TEST(FingerprintTest, InterleavingInvariance) {
-  // Two threads touching different sync vars: both orders equivalent.
-  FingerprintBuilder F1(2), F2(2);
-  F1.addStep(0, 10, true, 1);
-  F1.addStep(1, 20, true, 1);
-  F2.addStep(1, 20, true, 1);
-  F2.addStep(0, 10, true, 1);
-  EXPECT_EQ(F1.digest(), F2.digest());
-}
-
-TEST(FingerprintTest, ConflictOrderMatters) {
-  // Same sync var: the access order is part of the happens-before.
-  FingerprintBuilder F1(2), F2(2);
-  F1.addStep(0, 10, true, 1);
-  F1.addStep(1, 10, true, 1);
-  F2.addStep(1, 10, true, 1);
-  F2.addStep(0, 10, true, 1);
-  EXPECT_NE(F1.digest(), F2.digest());
-}
-
-TEST(FingerprintTest, DataStepsOrderedOnlyByThread) {
-  // Data steps on the same variable by different threads do not order
-  // each other; swapping them keeps the digest.
-  FingerprintBuilder F1(2), F2(2);
-  F1.addStep(0, 10, false, 0);
-  F1.addStep(1, 10, false, 0);
-  F2.addStep(1, 10, false, 0);
-  F2.addStep(0, 10, false, 0);
-  EXPECT_EQ(F1.digest(), F2.digest());
-}
-
-TEST(FingerprintTest, SyncCreatesCrossThreadOrder) {
-  // t0: var A; sync M. t1: sync M; var A. Reordering the sync ops changes
-  // the partial order and hence the digest.
-  FingerprintBuilder F1(2), F2(2);
-  F1.addStep(0, 10, true, 1); // t0 syncs M first.
-  F1.addStep(1, 10, true, 1);
-  F1.addStep(1, 99, true, 2);
-  F2.addStep(1, 10, true, 1); // t1 syncs M first.
-  F2.addStep(1, 99, true, 2);
-  F2.addStep(0, 10, true, 1);
-  EXPECT_NE(F1.digest(), F2.digest());
-}
-
-TEST(FingerprintTest, StepMultiplicityCounts) {
-  FingerprintBuilder F1(1), F2(1);
-  F1.addStep(0, 10, true, 1);
-  F2.addStep(0, 10, true, 1);
-  F2.addStep(0, 10, true, 1);
-  EXPECT_NE(F1.digest(), F2.digest());
 }
 
 TEST(ScheduleTest, PreemptionCounting) {
