@@ -466,7 +466,8 @@ void Coordinator::mergeResult(Conn &C, LeaseResult &&Res) {
       (Opts.Limits.StopAtFirstBug && !Bugs.empty()))
     StopLeasing = true;
 
-  C.Waiting = true; // An idle joiner implicitly wants the next batch.
+  // The joiner asks for its next batch with need_work; a result is never
+  // a request, so the lease that request draws is the joiner's only one.
   advanceBarrier();
   if (!Finished) {
     if (Opts.Observer && Opts.Observer->checkpointDue(Stats.Executions))

@@ -535,6 +535,13 @@ uint64_t counterOf(const obs::MetricsSnapshot &M, obs::Counter C) {
   return I < M.Counters.size() ? M.Counters[I] : 0;
 }
 
+/// A well-behaved joiner asks for work only when it holds no lease, so a
+/// run without faults revokes nothing and no joiner reconnects.
+void expectNoRevocations(const DistRun &D) {
+  EXPECT_EQ(counterOf(D.Metrics, obs::Counter::DistLeaseRevoked), 0u);
+  EXPECT_EQ(counterOf(D.Metrics, obs::Counter::DistReconnects), 0u);
+}
+
 } // namespace
 
 TEST(DistLoopback, MatchesSequentialSingleJoiner) {
@@ -549,6 +556,7 @@ TEST(DistLoopback, MatchesSequentialSingleJoiner) {
   EXPECT_EQ(D.WorkerRcs[0], WorkerDone);
   expectIdenticalResults(Ref, D.Result);
   expectSameDeterministicMetrics(RefReg.snapshot(), D.Metrics);
+  expectNoRevocations(D);
 }
 
 TEST(DistLoopback, MatchesSequentialAcrossJoinerCounts) {
@@ -560,10 +568,12 @@ TEST(DistLoopback, MatchesSequentialAcrossJoinerCounts) {
 
   for (unsigned Joiners : {2u, 4u}) {
     DistRun D = runDistributed(Prog, Meta, Joiners, /*JobsEach=*/2);
+    SCOPED_TRACE(std::to_string(Joiners) + " joiners");
     for (int Rc : D.WorkerRcs)
-      EXPECT_EQ(Rc, WorkerDone) << Joiners << " joiners";
+      EXPECT_EQ(Rc, WorkerDone);
     expectIdenticalResults(Ref, D.Result);
     expectSameDeterministicMetrics(RefReg.snapshot(), D.Metrics);
+    expectNoRevocations(D);
   }
 }
 
@@ -578,6 +588,7 @@ TEST(DistLoopback, CleanProgramCompletes) {
   EXPECT_FALSE(D.Result.foundBug());
   expectIdenticalResults(Ref, D.Result);
   expectSameDeterministicMetrics(RefReg.snapshot(), D.Metrics);
+  expectNoRevocations(D);
 }
 
 TEST(DistLoopback, StopAtFirstBugStopsLeasing) {
