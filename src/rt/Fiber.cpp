@@ -8,6 +8,14 @@
 #include "support/Debug.h"
 #include <vector>
 
+// AddressSanitizer must be told about every switch between stacks, or it
+// reports false positives on the fiber stacks ("False positive error
+// reports may follow"). Outside an ASan build none of this is compiled.
+#if defined(__SANITIZE_ADDRESS__)
+#include <sanitizer/asan_interface.h>
+#include <sanitizer/common_interface_defs.h>
+#endif
+
 using namespace icb;
 using namespace icb::rt;
 
@@ -42,6 +50,11 @@ char *acquireStack(size_t Size) {
       !stackPool().empty()) {
     char *Stack = stackPool().back();
     stackPool().pop_back();
+#if defined(__SANITIZE_ADDRESS__)
+    // A fiber that Scheduler::teardown abandoned without unwinding left
+    // its frames' redzones poisoned on this stack.
+    __asan_unpoison_memory_region(Stack, Size);
+#endif
     return Stack;
   }
   return new char[Size];
@@ -68,12 +81,21 @@ Fiber::~Fiber() { releaseStack(Stack, StackSize); }
 
 void Fiber::trampoline(void *SelfPtr) {
   Fiber *Self = static_cast<Fiber *>(SelfPtr);
+#if defined(__SANITIZE_ADDRESS__)
+  __sanitizer_finish_switch_fiber(nullptr, &Self->ResumerStack,
+                                  &Self->ResumerStackSize);
+#endif
   Self->Entry();
   Self->Finished = true;
   // Return control to whoever resumed us last; this context is dead, so
   // the save slot is a throwaway.
   ICB_ASSERT(Self->ReturnTo, "fiber finished with no return context");
   MachineContext Dead;
+#if defined(__SANITIZE_ADDRESS__)
+  // A null save slot: this stack is never switched back to.
+  __sanitizer_start_switch_fiber(nullptr, Self->ResumerStack,
+                                 Self->ResumerStackSize);
+#endif
   switchFiberContext(Dead, *Self->ReturnTo);
   ICB_UNREACHABLE("switched back into a finished fiber");
 }
@@ -81,7 +103,24 @@ void Fiber::trampoline(void *SelfPtr) {
 void Fiber::resume(MachineContext &From) {
   ICB_ASSERT(!Finished, "resume of a finished fiber");
   ReturnTo = &From;
+#if defined(__SANITIZE_ADDRESS__)
+  void *FakeStack = nullptr;
+  __sanitizer_start_switch_fiber(&FakeStack, Stack, StackSize);
+#endif
   switchFiberContext(From, Context);
+#if defined(__SANITIZE_ADDRESS__)
+  __sanitizer_finish_switch_fiber(FakeStack, nullptr, nullptr);
+#endif
 }
 
-void Fiber::yieldTo(MachineContext &To) { switchFiberContext(Context, To); }
+void Fiber::yieldTo(MachineContext &To) {
+#if defined(__SANITIZE_ADDRESS__)
+  void *FakeStack = nullptr;
+  __sanitizer_start_switch_fiber(&FakeStack, ResumerStack, ResumerStackSize);
+#endif
+  switchFiberContext(Context, To);
+#if defined(__SANITIZE_ADDRESS__)
+  __sanitizer_finish_switch_fiber(FakeStack, &ResumerStack,
+                                  &ResumerStackSize);
+#endif
+}

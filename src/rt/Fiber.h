@@ -58,6 +58,12 @@ private:
   MachineContext Context;
   MachineContext *ReturnTo = nullptr;
   bool Finished = false;
+#if defined(__SANITIZE_ADDRESS__)
+  /// The stack of the context that last resumed this fiber, which the
+  /// ASan switch annotations in Fiber.cpp name when switching back to it.
+  const void *ResumerStack = nullptr;
+  size_t ResumerStackSize = 0;
+#endif
 };
 
 } // namespace icb::rt

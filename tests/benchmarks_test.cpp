@@ -58,6 +58,13 @@ std::string bugCaseName(const ::testing::TestParamInfo<BugCase> &Info) {
   return Name;
 }
 
+// Without a PrintTo, gtest prints a parameter as its raw bytes, heap
+// addresses included, and gtest_discover_tests copies that text into the
+// ctest name; the case name keeps the name the same in every build.
+void PrintTo(const BugCase &Case, std::ostream *OS) {
+  *OS << bugCaseName({Case, 0});
+}
+
 /// Finds the bug with ICB and returns its minimal preemption count, or
 /// nullopt when no bug exists within the bound.
 std::optional<unsigned> icbBugBound(const BugCase &Case, unsigned MaxBound,
@@ -131,6 +138,10 @@ std::string cleanCaseName(const ::testing::TestParamInfo<CleanCase> &Info) {
     if (!std::isalnum(static_cast<unsigned char>(C)))
       C = '_';
   return Name;
+}
+
+void PrintTo(const CleanCase &Case, std::ostream *OS) {
+  *OS << cleanCaseName({Case, 0});
 }
 
 class CleanBenchmarkTest : public ::testing::TestWithParam<CleanCase> {};

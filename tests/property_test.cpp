@@ -61,6 +61,11 @@ std::string vmCaseName(const ::testing::TestParamInfo<VmProgramCase> &Info) {
   return Info.param.Name;
 }
 
+// Without a PrintTo, gtest prints a parameter as its raw bytes, heap
+// addresses included, and gtest_discover_tests copies that text into the
+// ctest name; the case name keeps the name the same in every build.
+void PrintTo(const VmProgramCase &Case, std::ostream *OS) { *OS << Case.Name; }
+
 class VmHistogramTest : public ::testing::TestWithParam<VmProgramCase> {};
 
 TEST_P(VmHistogramTest, IcbAndDfsEnumerateTheSameExecutionMultiset) {
@@ -138,6 +143,8 @@ std::vector<RtProgramCase> rtPrograms() {
 std::string rtCaseName(const ::testing::TestParamInfo<RtProgramCase> &Info) {
   return Info.param.Name;
 }
+
+void PrintTo(const RtProgramCase &Case, std::ostream *OS) { *OS << Case.Name; }
 
 class RtHistogramTest : public ::testing::TestWithParam<RtProgramCase> {};
 

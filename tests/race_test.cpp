@@ -24,15 +24,10 @@
 using namespace icb;
 using namespace icb::race;
 
-namespace {
-
-constexpr uint64_t VarX = 100;
-constexpr uint64_t VarY = 101;
-constexpr uint64_t LockM = 200;
-constexpr uint64_t LockN = 201;
-
 /// The tracker's race check behind the event interface Goldilocks has, so
-/// the typed tests and the cross-check drive both the same way.
+/// the typed tests and the cross-check drive both the same way. Declared
+/// outside the anonymous namespace so the typed tests' names read
+/// `<TrackerDetector>`.
 class TrackerDetector {
 public:
   explicit TrackerDetector(unsigned NumThreads) : Hb(NumThreads) {}
@@ -49,6 +44,13 @@ public:
 private:
   HbTracker Hb;
 };
+
+namespace {
+
+constexpr uint64_t VarX = 100;
+constexpr uint64_t VarY = 101;
+constexpr uint64_t LockM = 200;
+constexpr uint64_t LockN = 201;
 
 template <typename DetectorT> class RaceDetectorTest : public ::testing::Test {
 protected:
