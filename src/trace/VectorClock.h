@@ -5,10 +5,11 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// Vector clocks over a fixed thread universe. Used by the race detectors
-/// (Section 3.1 requires each explored execution be checked for data races)
-/// and by the happens-before execution fingerprints that stand in for
-/// states on the stateless CHESS side (Section 4.3).
+/// Vector clocks over a fixed thread universe. race::HbTracker keeps one
+/// per thread and per synchronization variable of an execution; from them
+/// it checks the execution for data races (Section 3.1) and digests its
+/// happens-before relation into the fingerprint that stands in for a
+/// state on the stateless CHESS side (Section 4.3).
 ///
 //===----------------------------------------------------------------------===//
 
