@@ -9,8 +9,9 @@
 /// then cross-checks them on thousands of randomized executions: Section
 /// 3.1's soundness rests on race detection being correct, so the
 /// happens-before tracker's vector-clock check and the Goldilocks-style
-/// detector must agree on every access. Also tests the tracker's digest,
-/// the happens-before fingerprint of Section 4.3.
+/// detector must agree, access by access, up to each execution's first
+/// race. Also tests the tracker's digest, the happens-before fingerprint
+/// of Section 4.3.
 ///
 //===----------------------------------------------------------------------===//
 
