@@ -9,8 +9,10 @@
 #include "dist/Wire.h"
 #include "support/Debug.h"
 #include <algorithm>
+#include <cerrno>
 #include <chrono>
 #include <poll.h>
+#include <sys/socket.h>
 
 using namespace icb;
 using namespace icb::dist;
@@ -133,28 +135,66 @@ search::SearchResult Coordinator::run() {
     serveWaiters();
   }
 
-  // Tell every joiner the run is over, then hang up.
-  std::string Done = encodeFrame(doneFrame());
-  for (Conn &C : Conns) {
-    if (!C.Dead && C.Fd >= 0)
-      sendAll(C.Fd, Done);
-    closeFd(C.Fd);
-    C.Fd = -1;
-    C.Dead = true;
-  }
+  deliverDone();
 
   search::SearchResult Result;
   Stats.DistinctStates = Seen.size();
   Stats.DistinctTerminalStates = Terminal.size();
   Stats.Completed = FinishedCompleted;
+  // The final snapshot copies the bug map, so it goes out before the map
+  // moves into the result.
+  if (!Interrupted && Opts.Observer)
+    emitSnapshot(/*Final=*/true);
   Result.Stats = Stats;
   Result.Interrupted = Interrupted;
   Result.Bugs = search::takeCanonicalBugs(std::move(Bugs));
-  if (!Interrupted && Opts.Observer)
-    emitSnapshot(/*Final=*/true);
   if (Opts.Metrics)
     Opts.Metrics->restore(Master);
   return Result;
+}
+
+void Coordinator::deliverDone() {
+  // Tell every joiner the run is over, and hang up only once it has.
+  // Closing at once would fail a joiner's next send (the need_work after
+  // its result) with EPIPE, and it would reconnect to a coordinator that
+  // no longer serves. shutdown(SHUT_WR) ends our side after `done`.
+  std::string Done = encodeFrame(doneFrame());
+  for (size_t I = 0; I != Conns.size(); ++I) {
+    Conn &C = Conns[I];
+    if (!C.Dead && C.Fd >= 0 &&
+        (!sendAll(C.Fd, Done) || ::shutdown(C.Fd, SHUT_WR) != 0))
+      dropConn(I, /*Revoke=*/false);
+  }
+
+  // A joiner hangs up as soon as it reads `done`; until then, whatever it
+  // still sends (a result, a need_work, a heartbeat) is read and dropped.
+  // One silent for RevokeMillis already counts as dead.
+  uint64_t Deadline = nowMillis() + Opts.RevokeMillis;
+  std::vector<pollfd> Fds;
+  std::vector<size_t> Index; // pollfd -> Conns index.
+  while (true) {
+    Fds.clear();
+    Index.clear();
+    for (size_t I = 0; I != Conns.size(); ++I) {
+      if (!Conns[I].Dead && Conns[I].Fd >= 0) {
+        Fds.push_back({Conns[I].Fd, POLLIN, 0});
+        Index.push_back(I);
+      }
+    }
+    uint64_t Now = nowMillis();
+    if (Fds.empty() || Now >= Deadline)
+      break;
+    int N = ::poll(Fds.data(), Fds.size(), static_cast<int>(Deadline - Now));
+    if (N < 0 && errno != EINTR)
+      break;
+    for (size_t P = 0; P != Fds.size(); ++P) {
+      std::string Discard;
+      if (Fds[P].revents != 0 && !recvSome(Fds[P].fd, Discard))
+        dropConn(Index[P], /*Revoke=*/false);
+    }
+  }
+  for (size_t I = 0; I != Conns.size(); ++I)
+    dropConn(I, /*Revoke=*/false);
 }
 
 void Coordinator::pollOnce(uint64_t TimeoutMillis) {

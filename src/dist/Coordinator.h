@@ -104,6 +104,7 @@ private:
   struct Lease;
 
   void pollOnce(uint64_t TimeoutMillis);
+  void deliverDone();
   void handleFrame(Conn &C, const session::JsonValue &V);
   void dropConn(size_t Index, bool Revoke);
   void maybeIssue(Conn &C);

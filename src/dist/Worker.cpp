@@ -7,10 +7,14 @@
 #include "dist/Worker.h"
 #include "dist/Net.h"
 #include "dist/Wire.h"
-#include <atomic>
+#include <algorithm>
+#include <cerrno>
 #include <chrono>
+#include <cstring>
 #include <poll.h>
+#include <sys/eventfd.h>
 #include <thread>
+#include <unistd.h>
 
 using namespace icb;
 using namespace icb::dist;
@@ -24,39 +28,87 @@ uint64_t nowMillis() {
           .count());
 }
 
+/// The lease thread's "result ready" signal: an eventfd the protocol loop
+/// polls next to the socket. One per Worker::run, drained after every
+/// lease, so a lease's signal never wakes the next lease's wait.
+struct Wakeup {
+  int Fd = ::eventfd(0, EFD_CLOEXEC | EFD_NONBLOCK);
+
+  Wakeup() = default;
+  Wakeup(const Wakeup &) = delete;
+  Wakeup &operator=(const Wakeup &) = delete;
+  ~Wakeup() { closeFd(Fd); }
+
+  /// Neither call blocks: the eventfd is nonblocking, and draining an
+  /// unsignalled one reads nothing.
+  void signal() {
+    uint64_t One = 1;
+    ssize_t N = ::write(Fd, &One, sizeof(One));
+    (void)N;
+  }
+
+  void drain() {
+    uint64_t Count;
+    ssize_t N = ::read(Fd, &Count, sizeof(Count));
+    (void)N;
+  }
+};
+
+/// What Session::wait saw first.
+enum class WaitStatus {
+  Frame,    ///< A frame from the coordinator.
+  Woken,    ///< The lease thread signalled its result.
+  TimedOut, ///< The deadline passed (a heartbeat is due).
+  Error,    ///< EOF or protocol garbage: the connection is gone.
+};
+
 /// One live connection to the coordinator.
 struct Session {
   int Fd = -1;
+  int WakeFd = -1;
   FrameReader Reader;
 
-  ~Session() { closeFd(Fd); }
+  ~Session() { hangUp(); }
 
   bool send(const session::JsonValue &Frame) {
     return sendAll(Fd, encodeFrame(Frame));
   }
 
-  /// Waits up to \p TimeoutMillis for one frame. Returns Ok/NeedMore
-  /// (timeout)/Error (EOF or protocol garbage).
-  DecodeStatus recvFrame(session::JsonValue &Out, uint64_t TimeoutMillis) {
-    uint64_t Deadline = nowMillis() + TimeoutMillis;
+  void hangUp() {
+    closeFd(Fd);
+    Fd = -1;
+  }
+
+  /// Sleeps until a frame arrives, the wakeup fd is signalled, or the
+  /// steady clock reaches \p DeadlineMillis. Frames already received come
+  /// before a wakeup, and a wakeup before the deadline; the wakeup stays
+  /// signalled for the caller to drain.
+  WaitStatus wait(session::JsonValue &Out, uint64_t DeadlineMillis) {
+    bool Woken = false;
     while (true) {
-      std::string Error;
-      DecodeStatus S = Reader.next(Out, &Error);
-      if (S != DecodeStatus::NeedMore)
-        return S;
+      DecodeStatus S = Reader.next(Out, nullptr);
+      if (S == DecodeStatus::Ok)
+        return WaitStatus::Frame;
+      if (S == DecodeStatus::Error)
+        return WaitStatus::Error;
+      if (Woken)
+        return WaitStatus::Woken;
       uint64_t Now = nowMillis();
-      if (Now >= Deadline)
-        return DecodeStatus::NeedMore;
-      pollfd P{Fd, POLLIN, 0};
-      int N = ::poll(&P, 1, static_cast<int>(Deadline - Now));
-      if (N < 0)
-        return DecodeStatus::Error;
-      if (N == 0)
-        return DecodeStatus::NeedMore;
-      std::string Bytes;
-      if (!recvSome(Fd, Bytes))
-        return DecodeStatus::Error;
-      Reader.feed(Bytes.data(), Bytes.size());
+      if (Now >= DeadlineMillis)
+        return WaitStatus::TimedOut;
+      pollfd P[2] = {{Fd, POLLIN, 0}, {WakeFd, POLLIN, 0}};
+      if (::poll(P, 2, static_cast<int>(DeadlineMillis - Now)) < 0) {
+        if (errno == EINTR)
+          continue;
+        return WaitStatus::Error;
+      }
+      if (P[0].revents != 0) {
+        std::string Bytes;
+        if (!recvSome(Fd, Bytes))
+          return WaitStatus::Error;
+        Reader.feed(Bytes.data(), Bytes.size());
+      }
+      Woken = (P[1].revents & POLLIN) != 0;
     }
   }
 };
@@ -67,6 +119,11 @@ int Worker::run() {
   bool EverConnected = false;
   unsigned Attempt = 0;
   uint64_t HeartbeatMillis = 1000;
+  Wakeup Wake;
+  if (Wake.Fd < 0) {
+    ErrorMsg = std::string("eventfd: ") + std::strerror(errno);
+    return WorkerNetFail;
+  }
 
   while (true) {
     // --- Connect (capped exponential backoff) --------------------------
@@ -75,6 +132,7 @@ int Worker::run() {
       return WorkerRefused;
     std::string ConnErr;
     Session S;
+    S.WakeFd = Wake.Fd;
     S.Fd = connectTo(Ep, &ConnErr);
     if (S.Fd < 0) {
       if (++Attempt >= Opts.MaxConnectAttempts) {
@@ -100,8 +158,7 @@ int Worker::run() {
       continue;
     }
     session::JsonValue Frame;
-    DecodeStatus St = S.recvFrame(Frame, 10000);
-    if (St != DecodeStatus::Ok) {
+    if (S.wait(Frame, nowMillis() + 10000) != WaitStatus::Frame) {
       if (++Attempt >= Opts.MaxConnectAttempts) {
         ErrorMsg = "no hello_ok from coordinator";
         return WorkerNetFail;
@@ -126,93 +183,66 @@ int Worker::run() {
       return WorkerRefused;
     EverConnected = true;
     Attempt = 0;
+    uint64_t LeaseBeatMillis = std::max<uint64_t>(HeartbeatMillis / 2, 1);
 
     // --- Lease loop ----------------------------------------------------
-    bool Reconnect = false;
-    while (!Reconnect) {
-      if (!S.send(needWorkFrame())) {
-        Reconnect = true;
-        break;
-      }
-
+    while (S.send(needWorkFrame())) {
       // Wait for a lease (or done), heartbeating so an idle joiner at the
       // bound barrier is not revoked.
+      WaitStatus W;
+      while ((W = S.wait(Frame, nowMillis() + HeartbeatMillis)) ==
+             WaitStatus::TimedOut)
+        if (!S.send(heartbeatFrame()))
+          break;
+      if (W != WaitStatus::Frame)
+        break;
+      Kind = frameKind(Frame);
+      if (Kind == "done")
+        return WorkerDone;
       LeaseRequest Req;
       uint64_t LeaseId = 0;
-      bool HaveLease = false;
-      while (!HaveLease) {
-        DecodeStatus W = S.recvFrame(Frame, HeartbeatMillis);
-        if (W == DecodeStatus::Error) {
-          Reconnect = true;
-          break;
-        }
-        if (W == DecodeStatus::NeedMore) {
-          if (!S.send(heartbeatFrame())) {
-            Reconnect = true;
-            break;
-          }
-          continue;
-        }
-        Kind = frameKind(Frame);
-        if (Kind == "done")
-          return WorkerDone;
-        if (Kind == "lease" && leaseFromJson(Frame, LeaseId, Req)) {
-          HaveLease = true;
-          break;
-        }
-        // Anything else is protocol noise; drop the connection.
-        Reconnect = true;
-        break;
-      }
-      if (!HaveLease)
-        break;
+      if (Kind != "lease" || !leaseFromJson(Frame, LeaseId, Req))
+        break; // Anything else is protocol noise; drop the connection.
 
-      // Execute on a separate thread; keep the protocol loop heartbeating
-      // so a long lease does not look like a dead joiner.
+      // Execute on a separate thread, which signals Wake when the result
+      // is ready. Until then the loop sleeps in poll, waking for a frame
+      // or a heartbeat deadline, so a long lease does not look like a
+      // dead joiner and a short one is answered at once.
       LeaseResult Res;
-      std::atomic<bool> ResultReady{false};
       std::thread Exec([&] {
         Res = Opts.Runner(Req);
-        ResultReady.store(true, std::memory_order_release);
+        Wake.signal();
       });
-      bool Lost = false, DoneSeen = false;
-      // Poll short so a fast lease is delivered promptly (the socket is
-      // quiet while the lease runs, so the poll timeout is the latency
-      // floor); heartbeat on a deadline, not per wakeup.
-      uint64_t NextBeat = nowMillis() + HeartbeatMillis / 2;
-      while (!ResultReady.load(std::memory_order_acquire)) {
-        DecodeStatus W = S.recvFrame(Frame, 5);
-        if (W == DecodeStatus::Error) {
-          Lost = true;
-          break;
-        }
-        if (W == DecodeStatus::Ok && frameKind(Frame) == "done") {
-          DoneSeen = true;
-          break;
-        }
-        uint64_t Now = nowMillis();
-        if (Now >= NextBeat) {
+      uint64_t NextBeat = nowMillis() + LeaseBeatMillis;
+      while (true) {
+        W = S.wait(Frame, NextBeat);
+        if (W == WaitStatus::TimedOut) {
           if (!S.send(heartbeatFrame())) {
-            Lost = true;
+            W = WaitStatus::Error;
             break;
           }
-          NextBeat = Now + HeartbeatMillis / 2;
+          NextBeat = nowMillis() + LeaseBeatMillis;
+        } else if (W != WaitStatus::Frame || frameKind(Frame) == "done") {
+          break;
         }
+        // Any other frame is ignored.
+      }
+      if (W == WaitStatus::Frame) {
+        // Done: the run ended under us and the result is moot. Hang up
+        // first, so the coordinator does not wait out this lease.
+        S.hangUp();
+        Exec.join();
+        return WorkerDone;
       }
       Exec.join();
-      if (DoneSeen)
-        return WorkerDone; // Run ended under us; the result is moot.
-      if (Lost) {
-        // The coordinator revoked this lease on our EOF — the result must
-        // be discarded, never delivered on a new connection.
-        Reconnect = true;
-        break;
-      }
+      Wake.drain();
+      if (W == WaitStatus::Error)
+        break; // The coordinator revoked this lease on our EOF — the
+               // result must be discarded, never delivered on a new
+               // connection.
       ++LeaseCount;
-      if (!S.send(resultFrame(LeaseId, Res))) {
-        Reconnect = true;
+      if (!S.send(resultFrame(LeaseId, Res)))
         break;
-      }
     }
     // Fall through to reconnect (fresh hello, marked as such).
   }

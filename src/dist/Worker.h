@@ -12,6 +12,13 @@
 /// (dist/Protocol.h) — the tools plug in the real engines, the tests plug
 /// in fakes.
 ///
+/// While a lease runs, the protocol loop sleeps in one poll over the
+/// socket and an eventfd that the lease thread signals when its result is
+/// ready. A finished lease is answered at once; otherwise the loop wakes
+/// only for a coordinator frame or to send a heartbeat every half
+/// heartbeat interval, so a long lease does not look like a dead joiner.
+/// On `done` the joiner hangs up at once, mid-lease or not.
+///
 /// Exactly-once from this side: a result is only ever sent on the
 /// connection whose lease it answers. If that connection dies mid-lease,
 /// the result is discarded (the coordinator has revoked and re-queued the

@@ -25,7 +25,9 @@
 #include "session/Checkpoint.h"
 #include "testutil/ResultChecks.h"
 #include "testutil/TestPrograms.h"
+#include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <gtest/gtest.h>
 #include <string>
 #include <thread>
@@ -443,10 +445,11 @@ struct DistRun {
 };
 
 /// Hosts an in-process coordinator and \p Joiners worker threads over
-/// loopback; returns the merged result once the frontier drains.
-DistRun runDistributed(
-    const vm::Program &Prog, const session::CheckpointMeta &Meta,
-    unsigned Joiners, unsigned JobsEach = 1,
+/// loopback, each executing leases with \p Runner; returns the merged
+/// result once the frontier drains.
+DistRun runJoiners(
+    const session::CheckpointMeta &Meta, unsigned Joiners,
+    const LeaseRunner &Runner,
     const std::function<void(CoordinatorOptions &)> &Tweak = {},
     const std::function<void(uint16_t)> &BeforeWorkers = {}) {
   obs::MetricsRegistry Reg;
@@ -475,7 +478,7 @@ DistRun runDistributed(
     Threads.emplace_back([&, I] {
       WorkerOptions WO;
       WO.Connect = "127.0.0.1:" + std::to_string(Port);
-      WO.Runner = makeRunner(Prog, Meta, JobsEach);
+      WO.Runner = Runner;
       Worker W(WO);
       Out.WorkerRcs[I] = W.run();
     });
@@ -484,6 +487,16 @@ DistRun runDistributed(
     T.join();
   Out.Metrics = Reg.snapshot();
   return Out;
+}
+
+/// runJoiners over the engine's lease runner for \p Prog.
+DistRun runDistributed(
+    const vm::Program &Prog, const session::CheckpointMeta &Meta,
+    unsigned Joiners, unsigned JobsEach = 1,
+    const std::function<void(CoordinatorOptions &)> &Tweak = {},
+    const std::function<void(uint16_t)> &BeforeWorkers = {}) {
+  return runJoiners(Meta, Joiners, makeRunner(Prog, Meta, JobsEach), Tweak,
+                    BeforeWorkers);
 }
 
 /// A hand-driven joiner speaking raw frames, for the fault-injection and
@@ -542,6 +555,19 @@ void expectNoRevocations(const DistRun &D) {
   EXPECT_EQ(counterOf(D.Metrics, obs::Counter::DistReconnects), 0u);
 }
 
+/// Keeps the final snapshot of a run that ended on its own.
+struct FinalCapture : search::EngineObserver {
+  search::EngineSnapshot Snap;
+  bool HaveFinal = false;
+
+  void onCheckpoint(const search::EngineSnapshot &S) override {
+    if (S.Final) {
+      Snap = S;
+      HaveFinal = true;
+    }
+  }
+};
+
 } // namespace
 
 TEST(DistLoopback, MatchesSequentialSingleJoiner) {
@@ -552,11 +578,22 @@ TEST(DistLoopback, MatchesSequentialSingleJoiner) {
   canonicalizeBugs(Ref);
   ASSERT_TRUE(Ref.foundBug());
 
-  DistRun D = runDistributed(Prog, Meta, 1);
+  FinalCapture Observer;
+  DistRun D = runDistributed(
+      Prog, Meta, 1, 1,
+      [&](CoordinatorOptions &CO) { CO.Observer = &Observer; });
   EXPECT_EQ(D.WorkerRcs[0], WorkerDone);
   expectIdenticalResults(Ref, D.Result);
   expectSameDeterministicMetrics(RefReg.snapshot(), D.Metrics);
   expectNoRevocations(D);
+
+  // The final checkpoint is what `--resume` re-emits: its bugs and stats
+  // must be the result's.
+  ASSERT_TRUE(Observer.HaveFinal);
+  search::SearchResult Reemitted;
+  Reemitted.Stats = Observer.Snap.Stats;
+  Reemitted.Bugs = Observer.Snap.Bugs;
+  expectIdenticalResults(D.Result, Reemitted);
 }
 
 TEST(DistLoopback, MatchesSequentialAcrossJoinerCounts) {
@@ -610,6 +647,83 @@ TEST(DistLoopback, ExecutionLimitStopsLeasing) {
   });
   EXPECT_GE(D.Result.Stats.Executions, 5u);
   EXPECT_FALSE(D.Result.Stats.Completed);
+}
+
+TEST(DistLoopback, FinishedLeaseIsAnsweredAtOnce) {
+  // An engine-free runner: the roots lease hands back a few hundred
+  // items, and every one-item drain lease returns at once, so the time
+  // from one lease's start to the next is all protocol. A joiner that
+  // noticed a finished lease only when a poll timed out would spend at
+  // least that timeout on every lease.
+  constexpr uint32_t Items = 300;
+  using Clock = std::chrono::steady_clock;
+  std::vector<Clock::time_point> Starts; // One joiner: leases in sequence.
+  LeaseRunner Instant = [&Starts](const LeaseRequest &Req) {
+    Starts.push_back(Clock::now());
+    LeaseResult Res;
+    Res.Completed = true;
+    if (Req.Roots)
+      for (uint32_t I = 0; I != Items; ++I)
+        Res.Remaining.push_back(sampleItem(I));
+    return Res;
+  };
+  DistRun D = runJoiners(sampleMeta(), 1, Instant, [](CoordinatorOptions &CO) {
+    CO.LeaseItems = 1;
+  });
+
+  EXPECT_EQ(D.WorkerRcs[0], WorkerDone);
+  EXPECT_TRUE(D.Result.Stats.Completed);
+  expectNoRevocations(D);
+  uint64_t Leases = counterOf(D.Metrics, obs::Counter::DistLeases);
+  ASSERT_EQ(Leases, Items + 1); // The roots lease, then one per item.
+  ASSERT_EQ(Starts.size(), Leases);
+#ifndef __SANITIZE_THREAD__
+  // ThreadSanitizer slows the whole lease round trip to about 3 ms, so
+  // its build drives this run for the race check only.
+  std::vector<int64_t> Micros;
+  for (size_t I = 1; I != Starts.size(); ++I)
+    Micros.push_back(std::chrono::duration_cast<std::chrono::microseconds>(
+                         Starts[I] - Starts[I - 1])
+                         .count());
+  std::sort(Micros.begin(), Micros.end());
+  int64_t Median = Micros[Micros.size() / 2];
+  // About 0.07 ms, 0.5–1.3 ms under ASan+UBSan; a 5 ms poll puts a floor
+  // under every lease (a median of 4 ms or more even on a loaded machine).
+  // A thread handoff on a machine saturated by other processes can wait a
+  // scheduler tick (4 ms), which is why ctest runs this binary's tests
+  // alone (tests/CMakeLists.txt).
+  EXPECT_LT(Median, 3000) << "median lease turnaround in us; p90 "
+                          << Micros[Micros.size() * 9 / 10];
+#endif
+}
+
+TEST(DistLoopback, LongLeaseKeepsHeartbeating) {
+  // One lease runs three revoke intervals long. The joiner heartbeats
+  // through it, and the other joiner through its wait at the barrier:
+  // nothing is revoked, nobody reconnects, and the result is exact.
+  vm::Program Prog = racyCounter(3);
+  session::CheckpointMeta Meta = sampleMeta();
+  obs::MetricsRegistry RefReg;
+  search::SearchResult Ref = runSequential(Prog, Meta, &RefReg);
+  canonicalizeBugs(Ref);
+
+  LeaseRunner Engine = makeRunner(Prog, Meta);
+  std::atomic<bool> Slept{false};
+  LeaseRunner Slow = [&](const LeaseRequest &Req) {
+    if (!Req.Roots && !Slept.exchange(true))
+      std::this_thread::sleep_for(std::chrono::milliseconds(600));
+    return Engine(Req);
+  };
+  DistRun D = runJoiners(Meta, 2, Slow, [](CoordinatorOptions &CO) {
+    CO.HeartbeatMillis = 50;
+    CO.RevokeMillis = 200;
+  });
+  EXPECT_TRUE(Slept.load());
+  for (int Rc : D.WorkerRcs)
+    EXPECT_EQ(Rc, WorkerDone);
+  expectIdenticalResults(Ref, D.Result);
+  expectSameDeterministicMetrics(RefReg.snapshot(), D.Metrics);
+  expectNoRevocations(D);
 }
 
 TEST(DistFaults, EofMidLeaseRevokesAndLosesNothing) {
@@ -832,6 +946,9 @@ TEST(DistResume, StoppedServeResumesToIdenticalResult) {
   ASSERT_TRUE(First.Result.Interrupted);
   ASSERT_TRUE(Observer.HaveResumable);
   ASSERT_LT(First.Result.Stats.Executions, Ref.Stats.Executions);
+  // The stop reaches every joiner as `done`, mid-lease or not.
+  for (int Rc : First.WorkerRcs)
+    EXPECT_EQ(Rc, WorkerDone);
 
   // Segment 2: a fresh coordinator resumes from the snapshot; fresh
   // joiners finish the run.

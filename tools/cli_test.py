@@ -6,8 +6,9 @@ Covers the observability surface the unit tests cannot reach: the exact
 exit, --trace=FILE Perfetto export (valid JSON, flow-id consistency),
 icb_report's estimator / per-site tables, and — when pointed at an
 ICB_NO_METRICS binary — the hard usage error for --trace=FILE. Also: a
-resumed finished run re-emits the original manifest, metrics included,
-and a tampered runtime repro artifact is a replay mismatch (exit 3).
+resumed finished run, local or --serve, re-emits the original manifest,
+metrics and bugs included, and a tampered runtime repro artifact is a
+replay mismatch (exit 3).
 
 Usage: cli_test.py <icb_check> <icb_report>
 """
@@ -15,6 +16,7 @@ Usage: cli_test.py <icb_check> <icb_report>
 import fcntl
 import json
 import os
+import re
 import socket
 import struct
 import subprocess
@@ -40,6 +42,29 @@ def wire_frame(obj):
     """One dist-protocol frame: 4-byte LE length + session-dialect JSON."""
     payload = json.dumps(obj).encode()
     return struct.pack("<I", len(payload)) + payload
+
+
+def serve(*args):
+    """Runs `icb_check --serve` on an ephemeral loopback port with two
+    --join processes. Returns the coordinator's exit code, stdout and
+    stderr, and the joiners' exit codes."""
+    srv = subprocess.Popen([CHECK, *args, "--serve=127.0.0.1:0"],
+                           stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                           text=True)
+    header = srv.stdout.readline()  # Flushed eagerly, with the real port.
+    port = re.search(r"serving on 127\.0\.0\.1:(\d+)", header)
+    assert port, (header, srv.communicate(timeout=60))
+    joins = [subprocess.Popen([CHECK, "--join=127.0.0.1:" + port.group(1)],
+                              stdout=subprocess.DEVNULL,
+                              stderr=subprocess.DEVNULL)
+             for _ in range(2)]
+    out, err = srv.communicate(timeout=60)
+    return (srv.returncode, header + out, err,
+            [j.wait(timeout=60) for j in joins])
+
+
+def bug_lines(stdout):
+    return [l for l in stdout.splitlines() if l.lstrip().startswith("BUG ")]
 
 
 def dist_contract(tmp):
@@ -151,6 +176,26 @@ def finished_resume(tmp, no_metrics):
     a, b = norm(ref), norm(res)
     assert no_metrics or "metrics" in a["runs"][0], "reference has no metrics"
     assert a == b, "resumed manifest diverges:\n%s\n%s" % (a, b)
+
+    # The same for a --serve run: its final checkpoint keeps the bugs the
+    # joiners found, so the resumed run exits 1 and reports them again.
+    ref = os.path.join(tmp, "serve-ref.json")
+    res = os.path.join(tmp, "serve-res.json")
+    ckdir = os.path.join(tmp, "serve-ckpt")
+    rc, out, err, joiners = serve(
+        "--benchmark=Transaction Manager", "--bug=commit-stomp", "--model",
+        "--keep-going", "--max-bound=3", "--json=" + ref,
+        "--checkpoint-dir=" + ckdir)
+    assert rc == 1 and joiners == [0, 0], (rc, joiners, err)
+    bugs = bug_lines(out)
+    assert bugs, out
+    r = run(CHECK, "--resume=" + ckdir, "--json=" + res)
+    assert r.returncode == 1, (r.returncode, r.stdout, r.stderr)
+    assert bug_lines(r.stdout) == bugs, (bugs, r.stdout)
+    a, b = norm(ref), norm(res)
+    for rec in a["runs"]:
+        rec.pop("dist", None)  # Per-joiner lease counts, timing only.
+    assert a == b, "resumed serve manifest diverges:\n%s\n%s" % (a, b)
 
 
 def tampered_repro(tmp):
